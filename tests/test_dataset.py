@@ -54,6 +54,17 @@ def test_parse_rejects_non_finite_values():
         parse_recording("1 inf 3\n", 3)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    ["1 2 3", "1", "1 nan", "inf 2", "1 -inf", "1 x", "# comment", "1 2 # note"],
+)
+def test_parse_error_names_the_bad_line(bad):
+    with pytest.raises(MalformedLineError) as exc:
+        parse_recording(f"1 2\n\n3 4\n{bad}\n5 6\n", 2)
+    assert exc.value.line_no == 4
+    assert str(exc.value).startswith("line 4: ")
+
+
 def test_parse_empty_stream():
     with pytest.raises(EmptyRecordingError):
         parse_recording("\n\n", 8)
