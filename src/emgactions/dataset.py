@@ -16,6 +16,7 @@ scanning the unpacked directory tree.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,22 +126,6 @@ class Pattern:
 
 
 @dataclass
-class Segment:
-    """A length-L analysis window cut from one channel of one pattern."""
-
-    values: np.ndarray
-    channel: int = 0
-    window_index: int = 0
-    pattern_index: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass
 class ManifestEntry:
     """One recording file: relative path plus its subject and action label."""
 
@@ -185,6 +170,11 @@ def parse_recording(
 ) -> MultiChannelRecording:
     """Parse a whitespace-delimited numeric recording.
 
+    The whole input is read with one bulk numpy parse. Only when that fails,
+    or its result is empty, has the wrong column count or holds a
+    non-finite value, is the input parsed again line by line to report the
+    offending line.
+
     Args:
         text: a string or an iterable of lines.
         expected_channels: required field count per data line.
@@ -201,9 +191,26 @@ def parse_recording(
     """
     if expected_channels < 1:
         raise ValueError("expected_channels must be >= 1")
-    lines = text.splitlines() if isinstance(text, str) else text
+    lines = text.splitlines() if isinstance(text, str) else list(text)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            samples = np.loadtxt(lines, comments=None, ndmin=2)
+    except ValueError:
+        samples = None
+    if (
+        samples is None
+        or samples.shape[0] == 0
+        or samples.shape[1] != expected_channels
+        or not np.isfinite(samples).all()
+    ):
+        samples = _parse_lines(lines, expected_channels)
+    return MultiChannelRecording(samples, subject_id, action_label)
+
+
+def _parse_lines(lines, expected_channels: int) -> np.ndarray:
+    # The reference parser: slow, but it names the first bad line.
     rows = []
-    line_no = 0
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
@@ -223,8 +230,7 @@ def parse_recording(
         rows.append(row)
     if not rows:
         raise EmptyRecordingError("no data lines in recording")
-    samples = np.array(rows, dtype=float)
-    return MultiChannelRecording(samples, subject_id, action_label)
+    return np.array(rows, dtype=float)
 
 
 def split_trials(rec: MultiChannelRecording, trials: int) -> list[Pattern]:
@@ -257,34 +263,21 @@ def split_trials(rec: MultiChannelRecording, trials: int) -> list[Pattern]:
     return out
 
 
-def segment_channel(
-    x,
-    window: int,
-    channel: int = 0,
-    pattern_index: int = 0,
-) -> list[Segment]:
-    """Slice one channel into floor(N / window) non-overlapping segments.
+def segment_channel(x, window: int) -> np.ndarray:
+    """Slice the last axis into floor(N / window) non-overlapping segments.
 
-    Segment w (1-based) holds samples (w-1)*window+1 .. w*window; any
-    remainder is dropped.
+    Returns a read-only strided view of shape (..., W, window) with
+    W = floor(N / window): segment w (1-based) holds samples
+    (w-1)*window+1 .. w*window, and any remainder is dropped.
 
     Raises:
-        InvalidWindowError: if window < 1 or window > len(x).
+        InvalidWindowError: if window < 1 or window > N.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
+    n = x.shape[-1]
     if window < 1 or window > n:
         raise InvalidWindowError(f"window {window} not in 1..{n}")
-    n_w = n // window
-    return [
-        Segment(
-            values=x[w * window : (w + 1) * window].copy(),
-            channel=channel,
-            window_index=w + 1,
-            pattern_index=pattern_index,
-        )
-        for w in range(n_w)
-    ]
+    return np.lib.stride_tricks.sliding_window_view(x, window, axis=-1)[..., ::window, :]
 
 
 def window_samples(sampling_rate_hz: float, duration_ms: float = 200.0) -> int:

@@ -2,7 +2,6 @@
 
 from emgactions.features.assemble import (
     FeatureConfig,
-    FeatureVector,
     assemble_features,
     extract_feature_matrix,
     registry_for,
@@ -53,7 +52,6 @@ from emgactions.features.timedomain import TDS_NAMES, tds
 
 __all__ = [
     "FeatureConfig",
-    "FeatureVector",
     "assemble_features",
     "extract_feature_matrix",
     "registry_for",

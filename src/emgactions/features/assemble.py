@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,8 +12,13 @@ from emgactions.features.autoregressive import ar_psd, band_powers, burg_ar
 from emgactions.features.crosschannel import DEFAULT_PAIRS, compute_ics
 from emgactions.features.localbinary import LBP_THRESHOLD, LBP_WINDOW, lbp_features
 from emgactions.features.registry import FeatureRegistry, build_registry
-from emgactions.features.spectral import LMF_COUNT, lmf_features, power_spectrum, spectral_moments
-from emgactions.features.timedomain import TDS_NAMES, tds
+from emgactions.features.spectral import lmf_features, power_spectrum, spectral_moments
+from emgactions.features.timedomain import tds
+
+# Patterns computed together: one recording of the paper's corpus (15
+# trials). One block for the whole corpus ran slower and held far larger FFT
+# buffers.
+BLOCK_PATTERNS = 15
 
 
 @dataclass(frozen=True)
@@ -38,19 +44,6 @@ class FeatureConfig:
     pairs: tuple = DEFAULT_PAIRS
 
 
-@dataclass
-class FeatureVector:
-    """Assembled features for one pattern, plus its identifying metadata."""
-
-    values: np.ndarray
-    label: int
-    subject_id: int = 0
-    trial_index: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-
 def registry_for(config: FeatureConfig, channels: int = 8) -> FeatureRegistry:
     """Registry matching the layout produced by assemble_features."""
     return build_registry(
@@ -61,15 +54,8 @@ def registry_for(config: FeatureConfig, channels: int = 8) -> FeatureRegistry:
     )
 
 
-def _channel_features(extract, segments, width):
-    out = np.zeros(width)
-    for seg in segments:
-        out += extract(seg.values)
-    return out / len(segments)
-
-
-def assemble_features(pattern: Pattern, config: FeatureConfig = FeatureConfig()) -> FeatureVector:
-    """Compute the full feature vector of one pattern.
+def assemble_features(patterns, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Compute the full feature vector of one pattern, or of a block of them.
 
     Blocks are concatenated as [TDS | ICS | LMF | SBP | LBP], channel-major
     within each single-channel block. When the window splits a trial into
@@ -77,64 +63,89 @@ def assemble_features(pattern: Pattern, config: FeatureConfig = FeatureConfig())
     vector length is independent of the segment count. With 8 channels and
     the default configuration the vector has 32+12+136+80+16 = 276 entries.
 
+    Args:
+        patterns: one Pattern, or a sequence of P patterns with equal
+            channel count and length. Every family is computed once for the
+            whole (P, M, W, L) stack of segments.
+        config: extraction parameters.
+
+    Returns:
+        A (D,) row for one Pattern, otherwise a (P, D) matrix.
+
     Raises:
-        Extractor errors, annotated with the channel and modality.
+        Extractor errors, annotated with the subject, action label, trial
+        index, channel and modality of the first segment that raises.
     """
-    window = config.window if config.window is not None else pattern.n_samples
-    m = pattern.n_channels
-    blocks = []
+    group = [patterns] if isinstance(patterns, Pattern) else list(patterns)
+    x = np.stack([p.channels for p in group])
+    segs = segment_channel(x, config.window if config.window is not None else x.shape[-1])
 
-    def per_channel(modality, extract, width):
-        cols = np.empty((m, width))
-        for ch in range(m):
-            segments = segment_channel(pattern.channels[ch], window, channel=ch + 1)
-            try:
-                cols[ch] = _channel_features(extract, segments, width)
-            except Exception as exc:
-                raise type(exc)(f"channel {ch + 1} {modality}: {exc}") from None
-        return cols.ravel()
+    def per_channel(modality, extract):
+        values = _located(modality, extract, segs, group, row_axes=3)
+        return values.mean(axis=2).reshape(len(group), -1)
 
-    blocks.append(per_channel("tds", tds, len(TDS_NAMES)))
-    blocks.append(compute_ics(pattern, config.pairs, window=config.window))
-    blocks.append(
-        per_channel(
-            "lmf",
-            lambda s: lmf_features(spectral_moments(power_spectrum(s))),
-            LMF_COUNT,
-        )
-    )
-    blocks.append(
+    blocks = [
+        per_channel("tds", tds),
+        _located(
+            "ics",
+            lambda c: compute_ics(c, config.pairs, window=config.window),
+            x,
+            group,
+            row_axes=1,
+        ),
+        per_channel("lmf", lambda s: lmf_features(spectral_moments(power_spectrum(s)))),
         per_channel(
             "sbp",
-            lambda s: band_powers(ar_psd(burg_ar(s, config.ar_order), config.psd_grid), config.n_bands),
-            config.n_bands,
-        )
-    )
-    blocks.append(
-        per_channel(
-            "lbp",
-            lambda s: lbp_features(s, config.lbp_window, config.lbp_threshold),
-            2,
-        )
-    )
-    return FeatureVector(
-        values=np.concatenate(blocks),
-        label=pattern.label,
-        subject_id=pattern.subject_id,
-        trial_index=pattern.trial_index,
-    )
+            lambda s: band_powers(
+                ar_psd(burg_ar(s, config.ar_order), config.psd_grid), config.n_bands
+            ),
+        ),
+        per_channel("lbp", lambda s: lbp_features(s, config.lbp_window, config.lbp_threshold)),
+    ]
+    rows = np.concatenate(blocks, axis=1)
+    return rows[0] if isinstance(patterns, Pattern) else rows
+
+
+def _located(modality, extract, block, group, row_axes):
+    """extract(block), or the first failing row's error, named by its origin.
+
+    The first row_axes axes of block index rows: the first indexes group,
+    the second, when present, channels. A batched call cannot say which row
+    raised, so on error every row is rerun alone until one raises again.
+    """
+    try:
+        return extract(block)
+    except Exception:
+        for idx in np.ndindex(block.shape[:row_axes]):
+            try:
+                extract(block[idx])
+            except Exception as exc:
+                p = group[idx[0]]
+                where = f"subject {p.subject_id} action {p.label} trial {p.trial_index}"
+                if row_axes > 1:
+                    where += f" channel {idx[1] + 1}"
+                raise type(exc)(f"{where} {modality}: {exc}") from None
+        raise
 
 
 def extract_feature_matrix(patterns, config: FeatureConfig = FeatureConfig()):
     """Assemble features for a pattern sequence.
 
+    Consecutive patterns of equal shape are computed together, in blocks of
+    at most BLOCK_PATTERNS.
+
     Returns:
         (X, y, subjects, trials): X is (P, D) float, the rest are (P,) int
         arrays aligned with the pattern order.
     """
-    vectors = [assemble_features(p, config) for p in patterns]
-    X = np.vstack([v.values for v in vectors])
-    y = np.array([v.label for v in vectors], dtype=int)
-    subjects = np.array([v.subject_id for v in vectors], dtype=int)
-    trials = np.array([v.trial_index for v in vectors], dtype=int)
+    patterns = list(patterns)
+    blocks = []
+    for _, run in itertools.groupby(patterns, key=lambda p: p.channels.shape):
+        run = list(run)
+        for start in range(0, len(run), BLOCK_PATTERNS):
+            blocks.append(assemble_features(run[start : start + BLOCK_PATTERNS], config))
+    X = np.vstack(blocks)
+    y = np.array([p.label for p in patterns], dtype=int)
+    subjects = np.array([p.subject_id for p in patterns], dtype=int)
+    trials = np.array([p.trial_index for p in patterns], dtype=int)
     return X, y, subjects, trials

@@ -32,49 +32,73 @@ class BadPairError(ValueError):
     """A channel pair references a channel outside 1..M."""
 
 
-def ics_max_xcorr(seg_a, seg_b) -> float:
+def ics_max_xcorr(seg_a, seg_b) -> float | np.ndarray:
     """Maximum of the biased cross-correlation over all integer lags.
 
     The estimator is (1/L) * sum_l a(l) b(l+d) with out-of-range terms zero,
     maximized over d in [-(L-1), L-1]. No normalization beyond the 1/L
-    factor, so the value scales with signal power.
+    factor, so the value scales with signal power. Computed along the last
+    axis by zero-padded FFT, O(L log L); leading axes are batch axes:
+    (..., L) and (..., L) -> (...).
     """
-    a = np.asarray(seg_a, dtype=float).ravel()
-    b = np.asarray(seg_b, dtype=float).ravel()
-    if a.size != b.size:
-        raise LengthMismatchError(f"segment lengths differ: {a.size} vs {b.size}")
-    if a.size < 1:
+    a = np.atleast_1d(np.asarray(seg_a, dtype=float))
+    b = np.atleast_1d(np.asarray(seg_b, dtype=float))
+    n = a.shape[-1]
+    if n != b.shape[-1]:
+        raise LengthMismatchError(f"segment lengths differ: {n} vs {b.shape[-1]}")
+    if n < 1:
         raise ValueError("segments must be nonempty")
-    return float(np.correlate(a, b, mode="full").max() / a.size)
+    size = _fft_size(2 * n - 1)
+    spectrum = np.fft.rfft(a, size).conj()
+    spectrum *= np.fft.rfft(b, size)
+    xcorr = np.fft.irfft(spectrum, size)
+    # Lags 0..n-1 sit at the front, lags -(n-1)..-1 at the back; the bins
+    # between hold rounding noise, not lags.
+    ahead = xcorr[..., :n].max(axis=-1)
+    behind = xcorr[..., size - n + 1 :].max(axis=-1, initial=-np.inf)
+    return (np.maximum(ahead, behind) / n)[()]
 
 
-def compute_ics(pattern: Pattern, pairs=DEFAULT_PAIRS, window: int | None = None) -> np.ndarray:
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a length the FFT handles fast.
+
+    A length with a large prime factor, such as 2L - 1 = 19999, transforms
+    many times slower, and the next power of two can be much longer.
+    """
+    size = n
+    while True:
+        rest = size
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return size
+        size += 1
+
+
+def compute_ics(channels, pairs=DEFAULT_PAIRS, window: int | None = None) -> np.ndarray:
     """Peak cross-correlation for each channel pair of a pattern.
 
     Args:
-        pattern: multi-channel trial.
+        channels: a Pattern, or a float array of shape (..., M, N) whose
+            leading axes are batch axes.
         pairs: 1-based (i, j) channel pairs, evaluated in order.
         window: segment length; None uses the whole trial. With several
             segments per trial the per-segment values are averaged.
 
     Returns:
-        Array of len(pairs) values.
+        Array of shape (..., len(pairs)).
 
     Raises:
         BadPairError: a pair references a channel outside 1..M.
     """
-    m = pattern.n_channels
+    x = channels.channels if isinstance(channels, Pattern) else np.asarray(channels, dtype=float)
+    m = x.shape[-2]
     for i, j in pairs:
         if not (1 <= i <= m and 1 <= j <= m):
             raise BadPairError(f"pair ({i}, {j}) outside channels 1..{m}")
-    length = window if window is not None else pattern.n_samples
-    out = np.empty(len(pairs))
-    for q, (i, j) in enumerate(pairs):
-        segs_i = segment_channel(pattern.channels[i - 1], length, channel=i)
-        segs_j = segment_channel(pattern.channels[j - 1], length, channel=j)
-        vals = [
-            ics_max_xcorr(si.values, sj.values)
-            for si, sj in zip(segs_i, segs_j)
-        ]
-        out[q] = np.mean(vals)
-    return out
+    segs = segment_channel(x, window if window is not None else x.shape[-1])
+    # One call per pair: views, not gathered copies, so the FFT buffers stay
+    # one pair's size.
+    peaks = [ics_max_xcorr(segs[..., i - 1, :, :], segs[..., j - 1, :, :]) for i, j in pairs]
+    return np.stack(peaks, axis=-2).mean(axis=-1)

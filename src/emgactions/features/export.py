@@ -34,6 +34,11 @@ def read_feature_csv(path: str):
     Returns:
         (X, y, subjects, trials, names) with names covering the feature
         columns only.
+
+    Raises:
+        ValueError: a malformed header or row, or a NaN or infinite feature
+            value; the message names the file and line, and the column of
+            a non-finite value.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -43,7 +48,7 @@ def read_feature_csv(path: str):
         if tuple(header[-3:]) != META_COLUMNS:
             raise ValueError(f"{path}: expected trailing columns {META_COLUMNS}")
         names = header[:-3]
-        rows, labels, subjects, trials = [], [], [], []
+        rows, labels, subjects, trials, line_nos = [], [], [], [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -53,10 +58,18 @@ def read_feature_csv(path: str):
             subjects.append(int(row[-3]))
             trials.append(int(row[-2]))
             labels.append(int(row[-1]))
+            line_nos.append(line_no)
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    X = np.array(rows, dtype=float)
+    finite = np.isfinite(X)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"{path}:{line_nos[r]}: non-finite value {float(X[r, c])!r} in column {names[c]!r}"
+        )
     return (
-        np.array(rows, dtype=float),
+        X,
         np.array(labels, dtype=int),
         np.array(subjects, dtype=int),
         np.array(trials, dtype=int),

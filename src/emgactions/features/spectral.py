@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ class SpectralMoments:
     """Moments g(0..6) of a power spectrum: g(i) = sqrt(sum_k k^i psi(k)).
 
     Nonnegative and nondecreasing in i, because the spectrum index k starts
-    at 1 so k^(i+1) psi >= k^i psi termwise.
+    at 1 so k^(i+1) psi >= k^i psi termwise. g has shape (..., 7).
     """
 
     g: np.ndarray
@@ -46,30 +45,28 @@ def power_spectrum(segment) -> np.ndarray:
     """Squared-magnitude spectrum psi(k) = |sum_l s(l) e^(-i 2 pi l k / L)|^2.
 
     Both the sample index l and the frequency index k run 1..L, so the DC
-    term lands in the last bin psi(L) rather than the first.
+    term lands in the last bin psi(L) rather than the first. Leading axes are
+    batch axes: (..., L) -> (..., L).
     """
-    s = np.asarray(segment, dtype=float).ravel()
-    if s.size < 1:
+    s = np.atleast_1d(np.asarray(segment, dtype=float))
+    if s.shape[-1] < 1:
         raise ValueError("segment must have at least one sample")
     # l starting at 1 multiplies the standard DFT by a unit phase and
     # rotates bin 0 to bin L; magnitudes are otherwise unchanged.
-    return np.abs(np.roll(np.fft.fft(s), -1)) ** 2
+    return np.abs(np.roll(np.fft.fft(s, axis=-1), -1, axis=-1)) ** 2
 
 
 def spectral_moments(psi) -> SpectralMoments:
-    """Moments g(i) = sqrt(sum_{k=1..L} k^i psi(k)) for i = 0..6."""
-    psi = np.asarray(psi, dtype=float).ravel()
-    k = np.arange(1, psi.size + 1, dtype=float)
-    g = np.empty(7)
-    weights = np.ones_like(k)
-    for i in range(7):
-        g[i] = math.sqrt(float(np.dot(weights, psi)))
-        weights *= k
-    return SpectralMoments(g)
+    """Moments g(i) = sqrt(sum_{k=1..L} k^i psi(k)) for i = 0..6, along the last axis."""
+    psi = np.atleast_1d(np.asarray(psi, dtype=float))
+    k = np.arange(1, psi.shape[-1] + 1, dtype=float)
+    # Column i holds k^i, built by repeated multiplication.
+    weights = np.cumprod(np.column_stack([np.ones_like(k)] + [k] * 6), axis=1)
+    return SpectralMoments(np.sqrt(psi @ weights))
 
 
-def _ln(x: float) -> float:
-    return math.log(max(x, LOG_EPS))
+def _ln(x):
+    return np.log(np.maximum(x, LOG_EPS))
 
 
 def lmf_features(moments) -> np.ndarray:
@@ -84,16 +81,20 @@ def lmf_features(moments) -> np.ndarray:
     f8..f17: ln(g(i) g(j))/2 over MOMENT_PAIRS in order.
 
     Every log argument is floored at LOG_EPS, so the result is always finite.
+    Leading axes are batch axes: (..., 7) -> (..., 17).
     """
     g = moments.g if isinstance(moments, SpectralMoments) else np.asarray(moments, dtype=float)
-    f = np.empty(LMF_COUNT)
-    f[0] = _ln(g[0])
-    f[1] = _ln(g[2])
-    f[2] = _ln(g[4])
-    f[3] = _ln(g[0]) - 0.5 * _ln(abs(g[0] - g[2])) - 0.5 * _ln(abs(g[0] - g[4]))
-    f[4] = _ln(g[2]) - 0.5 * _ln(g[0] * g[4])
-    f[5] = _ln(g[0]) - 0.25 * _ln(g[1] * g[3])
-    f[6] = _ln(g[0]) - 0.25 * _ln(g[2] * g[6])
-    for q, (i, j) in enumerate(MOMENT_PAIRS):
-        f[7 + q] = 0.5 * _ln(g[i] * g[j])
-    return f
+    g = np.moveaxis(g, -1, 0)
+    i, j = np.array(MOMENT_PAIRS).T
+    ln_g0 = _ln(g[0])
+    head = [
+        ln_g0,
+        _ln(g[2]),
+        _ln(g[4]),
+        ln_g0 - 0.5 * _ln(abs(g[0] - g[2])) - 0.5 * _ln(abs(g[0] - g[4])),
+        _ln(g[2]) - 0.5 * _ln(g[0] * g[4]),
+        ln_g0 - 0.25 * _ln(g[1] * g[3]),
+        ln_g0 - 0.25 * _ln(g[2] * g[6]),
+    ]
+    pairs = 0.5 * _ln(g[i] * g[j])
+    return np.moveaxis(np.concatenate([np.stack(head), pairs]), 0, -1)

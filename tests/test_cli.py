@@ -225,6 +225,26 @@ class TestEval:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, workspace, tmp_path, capsys, cell):
+        rows = rows_of(workspace["features"])
+        rows[3][40] = cell
+        bad = tmp_path / "features.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        rc = main([
+            "eval",
+            "--config", str(workspace["config"]),
+            "--features", str(bad),
+            "--selected", "all",
+            "--out", str(tmp_path / "eval"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:4: non-finite value {float(cell)!r} in column {rows[0][40]!r}" in err
+        assert not (tmp_path / "eval").exists()
+
+
 class TestRelevance:
     def test_per_channel_rows(self, workspace, tmp_path):
         out = tmp_path / "rel"

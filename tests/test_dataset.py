@@ -1,8 +1,12 @@
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from emgactions import dataset
 from emgactions.dataset import (
     ACTION_LABELS,
     DatasetManifest,
@@ -63,6 +67,33 @@ def test_parse_error_names_the_bad_line(bad):
         parse_recording(f"1 2\n\n3 4\n{bad}\n5 6\n", 2)
     assert exc.value.line_no == 4
     assert str(exc.value).startswith("line 4: ")
+
+
+def _integer_or_repr(v):
+    return str(int(v)) if v.is_integer() and abs(v) < 1e15 else repr(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(
+        float,
+        st.tuples(st.integers(1, 30), st.integers(1, 8)),
+        elements=st.floats(allow_nan=False, allow_infinity=False)
+        | st.integers(-(10**6), 10**6).map(float),
+    ),
+    st.sampled_from([" ", "\t", "  ", " \t "]),
+    st.sampled_from([repr, _integer_or_repr, "{:.6e}".format]),
+    st.booleans(),
+)
+def test_bulk_parse_equals_line_parser(data, sep, fmt, blank_lines):
+    lines = [sep.join(fmt(float(v)) for v in row) for row in data]
+    if blank_lines:
+        lines = [x for line in lines for x in (line, "  ")]
+    slow = dataset._parse_lines(lines, data.shape[1])
+    with mock.patch.object(dataset, "_parse_lines", side_effect=AssertionError("fell back")):
+        fast = parse_recording("\n".join(lines) + "\n", data.shape[1]).samples
+    assert np.array_equal(fast, slow)
+    assert np.array_equal(slow, [[float(fmt(float(v))) for v in row] for row in data])
 
 
 def test_parse_empty_stream():
@@ -130,18 +161,18 @@ def test_split_trials_concatenation_reproduces_prefix():
 def test_segment_channel_full_trial_single_segment():
     x = np.arange(666.0)
     segs = segment_channel(x, 666)
-    assert len(segs) == 1
-    assert np.array_equal(segs[0].values, x)
+    assert segs.shape == (1, 666)
+    assert np.array_equal(segs[0], x)
 
 
 def test_segment_channel_splits_and_drops_remainder():
     segs = segment_channel(np.arange(10.0), 5)
-    assert len(segs) == 2
-    assert np.array_equal(segs[0].values, np.arange(5.0))
-    assert np.array_equal(segs[1].values, np.arange(5.0, 10.0))
+    assert segs.shape == (2, 5)
+    assert np.array_equal(segs[0], np.arange(5.0))
+    assert np.array_equal(segs[1], np.arange(5.0, 10.0))
     segs = segment_channel(np.arange(7.0), 3)
-    assert len(segs) == 2
-    assert segs[1].values[-1] == 5.0  # sample 7 dropped
+    assert segs.shape == (2, 3)
+    assert segs[1, -1] == 5.0  # sample 7 dropped
 
 
 def test_segment_channel_window_bounds():
@@ -159,10 +190,17 @@ def test_segments_disjoint_ordered_cover_prefix():
         x = rng.normal(0, 1, n)
         segs = segment_channel(x, window)
         n_w = n // window
-        assert len(segs) == n_w
-        assert [s.window_index for s in segs] == list(range(1, n_w + 1))
-        rebuilt = np.concatenate([s.values for s in segs]) if segs else np.array([])
-        assert np.array_equal(rebuilt, x[: n_w * window])
+        assert segs.shape == (n_w, window)
+        assert np.array_equal(segs.reshape(-1), x[: n_w * window])
+
+
+def test_segment_channel_batches_leading_axes():
+    rng = np.random.default_rng(6)
+    x = rng.normal(0, 1, (3, 4, 23))
+    segs = segment_channel(x, 5)
+    assert segs.shape == (3, 4, 4, 5)
+    for p, m, w in np.ndindex(segs.shape[:3]):
+        assert np.array_equal(segs[p, m, w], segment_channel(x[p, m], 5)[w])
 
 
 def test_window_samples_from_rate():

@@ -6,6 +6,7 @@ from emgactions.features import (
     DEFAULT_PAIRS,
     BadIndexError,
     FeatureConfig,
+    PoleOnGridError,
     WindowTooLongError,
     assemble_features,
     build_registry,
@@ -113,24 +114,22 @@ class TestAssemble:
     def test_vector_length_matches_registry(self):
         cfg = FeatureConfig()
         vec = assemble_features(make_pattern(), cfg)
-        assert vec.values.shape == (len(registry_for(cfg)),)
-        assert np.all(np.isfinite(vec.values))
-        assert vec.label == 1
-        assert vec.subject_id == 1
+        assert vec.shape == (len(registry_for(cfg)),)
+        assert np.all(np.isfinite(vec))
 
     def test_deterministic(self):
         cfg = FeatureConfig()
         a = assemble_features(make_pattern(seed=5), cfg)
         b = assemble_features(make_pattern(seed=5), cfg)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_all_zero_pattern_finite(self):
         cfg = FeatureConfig()
         pat = Pattern(channels=np.zeros((8, 32)), label=2, subject_id=1, trial_index=0)
         vec = assemble_features(pat, cfg)
-        assert np.all(np.isfinite(vec.values))
+        assert np.all(np.isfinite(vec))
         reg = registry_for(cfg)
-        tds_vals = vec.values[np.array(reg.modality_indices("tds")) - 1]
+        tds_vals = vec[np.array(reg.modality_indices("tds")) - 1]
         assert np.array_equal(tds_vals, np.zeros(32))
 
     def test_block_placement_against_direct_extractors(self):
@@ -142,12 +141,12 @@ class TestAssemble:
         pat = make_pattern(seed=3)
         vec = assemble_features(pat, cfg)
         reg = registry_for(cfg)
-        assert np.allclose(vec.values[0:4], tds(pat.channels[0]))
-        assert np.allclose(vec.values[28:32], tds(pat.channels[7]))
+        assert np.allclose(vec[0:4], tds(pat.channels[0]))
+        assert np.allclose(vec[28:32], tds(pat.channels[7]))
         ics_lo = reg.modality_indices("ics")[0] - 1
-        assert np.allclose(vec.values[ics_lo : ics_lo + 12], compute_ics(pat))
+        assert np.allclose(vec[ics_lo : ics_lo + 12], compute_ics(pat))
         lbp_lo = reg.modality_indices("lbp")[0] - 1
-        assert np.allclose(vec.values[lbp_lo : lbp_lo + 2], lbp_features(pat.channels[0]))
+        assert np.allclose(vec[lbp_lo : lbp_lo + 2], lbp_features(pat.channels[0]))
 
     def test_channel_swap_permutes_blocks(self):
         # swapping channels 1 and 2 swaps their per-channel blocks and, because
@@ -161,8 +160,8 @@ class TestAssemble:
             trial_index=pat.trial_index,
         )
         reg = registry_for(cfg)
-        a = assemble_features(pat, cfg).values
-        b = assemble_features(swapped, cfg).values
+        a = assemble_features(pat, cfg)
+        b = assemble_features(swapped, cfg)
 
         def block(vals, mod, ch):
             idx = [i - 1 for i in reg.modality_indices(mod) if reg[i].channel == ch]
@@ -187,10 +186,10 @@ class TestAssemble:
         pat = make_pattern(seed=13, samples=80)
         first = Pattern(pat.channels[:, :40], pat.label, pat.subject_id, pat.trial_index)
         second = Pattern(pat.channels[:, 40:], pat.label, pat.subject_id, pat.trial_index)
-        averaged = assemble_features(pat, cfg_win).values
+        averaged = assemble_features(pat, cfg_win)
         halves = 0.5 * (
-            assemble_features(first, cfg_full).values
-            + assemble_features(second, cfg_full).values
+            assemble_features(first, cfg_full)
+            + assemble_features(second, cfg_full)
         )
         assert np.allclose(averaged, halves, rtol=1e-10, atol=1e-10)
 
@@ -200,6 +199,30 @@ class TestAssemble:
         with pytest.raises(WindowTooLongError, match="channel 1 lbp"):
             assemble_features(pat, cfg)
 
+    def test_error_names_subject_action_trial_channel(self, monkeypatch):
+        # one all-zero channel fits a zero-noise AR model; a stand-in ar_psd
+        # fails on exactly that model, as a near-unstable fit would
+        from emgactions.features import assemble
+
+        pats = [make_pattern(seed=t, label=12) for t in range(4)]
+        for t, pat in enumerate(pats, start=1):
+            pat.subject_id, pat.trial_index = 3, t
+        pats[2].channels[5] = 0.0
+        real = assemble.ar_psd
+
+        def ar_psd(model, grid_size=100):
+            if np.any(np.asarray(model.noise_variance) == 0.0):
+                raise PoleOnGridError("AR denominator vanished on the frequency grid")
+            return real(model, grid_size)
+
+        monkeypatch.setattr(assemble, "ar_psd", ar_psd)
+        with pytest.raises(PoleOnGridError) as exc:
+            extract_feature_matrix(pats, FeatureConfig())
+        assert str(exc.value) == (
+            "subject 3 action 12 trial 3 channel 6 sbp: "
+            "AR denominator vanished on the frequency grid"
+        )
+
     def test_extract_feature_matrix_shapes(self):
         cfg = FeatureConfig()
         pats = [make_pattern(seed=s, label=s % 3 + 1) for s in range(6)]
@@ -208,4 +231,4 @@ class TestAssemble:
         assert y.tolist() == [1, 2, 3, 1, 2, 3]
         assert subjects.shape == (6,)
         assert trials.shape == (6,)
-        assert np.allclose(X[2], assemble_features(pats[2], cfg).values)
+        assert np.allclose(X[2], assemble_features(pats[2], cfg))
