@@ -1,13 +1,19 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import emgactions
 from emgactions.cli import main
 from emgactions.features.export import read_feature_csv
 from emgactions.features.registry import build_registry
 from emgactions.selection import reference_selection
+
+from ._synth import blobs
 
 ACTIONS = {1: "Bowing", 2: "Clapping"}
 
@@ -243,6 +249,30 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"{bad}:4: non-finite value {float(cell)!r} in column {rows[0][40]!r}" in err
         assert not (tmp_path / "eval").exists()
+
+    def test_byte_identical_across_blas_threads(self, tmp_path):
+        # Large enough that OpenBLAS splits the distance matmuls across threads.
+        X, y = blobs(n_per_class=100, n_classes=4, dim=40, spread=2.0, separation=0.5, seed=3)
+        features = tmp_path / "features.csv"
+        with open(features, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([f"f{i}" for i in range(1, 41)] + ["subject_id", "trial_index", "label"])
+            for row, label in zip(X, y):
+                writer.writerow([repr(float(v)) for v in row] + [1, 1, int(label)])
+        config = tmp_path / "run.cfg"
+        config.write_text("cv_folds = 4\nruns = 1\nsigma = auto\n")
+        out = tmp_path / "eval"
+        src = os.path.dirname(os.path.dirname(emgactions.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "emgactions.cli", "eval", "--config", str(config),
+                 "--features", str(features), "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            outputs.append(((out / "report.json").read_bytes(), (out / "confusion.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestRelevance:
