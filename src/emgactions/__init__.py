@@ -8,120 +8,4 @@ forward feature selection, and stratified cross-validated evaluation with
 accuracy and Cohen's kappa reporting.
 """
 
-from emgactions.dataset import (
-    DatasetManifest,
-    ManifestEntry,
-    MultiChannelRecording,
-    Pattern,
-    load_dataset,
-    parse_recording,
-    read_manifest,
-    scan_action_tree,
-    segment_channel,
-    split_trials,
-    window_samples,
-)
-from emgactions.features import (
-    DEFAULT_PAIRS,
-    ArModel,
-    FeatureConfig,
-    FeatureDescriptor,
-    FeatureRegistry,
-    SpectralMoments,
-    assemble_features,
-    band_powers,
-    build_registry,
-    burg_ar,
-    compute_ics,
-    extract_feature_matrix,
-    ics_max_xcorr,
-    lbp_features,
-    lmf_features,
-    ar_psd,
-    power_spectrum,
-    registry_for,
-    spectral_moments,
-    tds,
-)
-from emgactions.metrics import accuracy, confusion_matrix, kappa
-from emgactions.pnn import (
-    DEFAULT_SIGMA_GRID,
-    Normalizer,
-    PnnConfig,
-    PnnModel,
-    fit_pnn,
-    load_model,
-    save_model,
-    select_sigma,
-)
-from emgactions.crossval import EvalReport, MonteCarloResult, kfold_cv, monte_carlo
-from emgactions.selection import (
-    SelectionTrace,
-    ablation,
-    ablation_groups,
-    channel_relevance,
-    cv_accuracy_criterion,
-    reference_selection,
-    sfs,
-)
-from emgactions.experiment import ExperimentConfig
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DatasetManifest",
-    "ManifestEntry",
-    "MultiChannelRecording",
-    "Pattern",
-    "load_dataset",
-    "parse_recording",
-    "read_manifest",
-    "scan_action_tree",
-    "segment_channel",
-    "split_trials",
-    "window_samples",
-    "DEFAULT_PAIRS",
-    "ArModel",
-    "FeatureConfig",
-    "FeatureDescriptor",
-    "FeatureRegistry",
-    "SpectralMoments",
-    "assemble_features",
-    "band_powers",
-    "build_registry",
-    "burg_ar",
-    "compute_ics",
-    "extract_feature_matrix",
-    "ics_max_xcorr",
-    "lbp_features",
-    "lmf_features",
-    "ar_psd",
-    "power_spectrum",
-    "registry_for",
-    "spectral_moments",
-    "tds",
-    "accuracy",
-    "confusion_matrix",
-    "kappa",
-    "DEFAULT_SIGMA_GRID",
-    "Normalizer",
-    "PnnConfig",
-    "PnnModel",
-    "fit_pnn",
-    "load_model",
-    "save_model",
-    "select_sigma",
-    "EvalReport",
-    "MonteCarloResult",
-    "kfold_cv",
-    "monte_carlo",
-    "SelectionTrace",
-    "ablation",
-    "ablation_groups",
-    "channel_relevance",
-    "cv_accuracy_criterion",
-    "reference_selection",
-    "sfs",
-    "ExperimentConfig",
-    "__version__",
-]

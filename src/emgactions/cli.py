@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,16 +42,10 @@ from emgactions.pnn import PnnConfig
 def _load_config(args) -> ExperimentConfig:
     cfg = read_config(args.config) if args.config else ExperimentConfig()
     if getattr(args, "seed", None) is not None:
-        cfg = _replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     if getattr(args, "out", None) is not None:
-        cfg = _replace(cfg, out=args.out)
+        cfg = replace(cfg, out=args.out)
     return cfg
-
-
-def _replace(cfg: ExperimentConfig, **kw) -> ExperimentConfig:
-    from dataclasses import replace
-
-    return replace(cfg, **kw)
 
 
 def _parse_selected(spec: str | None, n_features: int, registry=None) -> tuple:

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from emgactions.metrics import accuracy, confusion_matrix, kappa
-from emgactions.pnn import PnnConfig, fit_pnn, select_sigma
+from emgactions.pnn import DEFAULT_SIGMA_GRID, EmptyClassWarning, PnnConfig, fit_pnn
 
 
 class TooFewSamplesError(ValueError):
     """Every class needs at least k samples for stratified k-fold CV."""
+
+
+class EmptyGridError(ValueError):
+    """Sigma selection needs a nonempty candidate grid."""
 
 
 @dataclass
@@ -28,8 +33,6 @@ class EvalReport:
     kappa: float
     seed: int
     folds: int
-    runs: int = 1
-    selected: tuple = None
 
     def __post_init__(self):
         self.confusion = np.asarray(self.confusion, dtype=int)
@@ -85,6 +88,46 @@ def stratified_folds(y, k: int, seed: int) -> np.ndarray:
         members = order[y[order] == cid]
         assignment[members] = np.arange(members.size) % k
     return assignment
+
+
+def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -> float:
+    """Pick the kernel width maximizing internal cross-validated accuracy.
+
+    Candidates are tried in ascending order and only strict improvements are
+    kept, so ties resolve toward the smallest sigma. Runs entirely on the
+    given data; callers pass their training split only.
+
+    Raises:
+        EmptyGridError: no candidates.
+    """
+    grid = sorted(float(s) for s in grid)
+    if not grid:
+        raise EmptyGridError("sigma grid is empty")
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    assignment = stratified_folds(y, folds, seed)
+    best_sigma = grid[0]
+    best_score = -1.0
+    for sigma in grid:
+        correct = 0
+        total = 0
+        for f in range(folds):
+            test = assignment == f
+            if not np.any(test) or np.all(test):
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EmptyClassWarning)
+                model = fit_pnn(X[~test], y[~test], sigma, n_classes=int(y.max()))
+            labels, _ = model.predict_batch(X[test])
+            correct += int(np.sum(labels == y[test]))
+            total += int(np.sum(test))
+        score = correct / total if total else 0.0
+        if score > best_score:
+            best_score = score
+            best_sigma = sigma
+    return best_sigma
 
 
 def kfold_cv(

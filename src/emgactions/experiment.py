@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 from emgactions.features.assemble import FeatureConfig
 from emgactions.features.crosschannel import DEFAULT_PAIRS
@@ -60,28 +60,10 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """Flat, JSON-ready view of every resolved setting."""
-        return {
-            "manifest": self.manifest,
-            "channels": self.channels,
-            "window": self.window,
-            "ar_order": self.ar_order,
-            "psd_grid": self.psd_grid,
-            "n_bands": self.n_bands,
-            "lbp_window": self.lbp_window,
-            "lbp_threshold": self.lbp_threshold,
-            "pairs": ["%d-%d" % p for p in self.pairs],
-            "sigma": self.sigma,
-            "sigma_grid": list(self.sigma_grid),
-            "selection_folds": self.selection_folds,
-            "cv_folds": self.cv_folds,
-            "runs": self.runs,
-            "seed": self.seed,
-            "max_features": self.max_features,
-            "patience": self.patience,
-            "sfs_folds": self.sfs_folds,
-            "sfs_sigma": self.sfs_sigma,
-            "out": self.out,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["pairs"] = ["%d-%d" % p for p in self.pairs]
+        out["sigma_grid"] = list(self.sigma_grid)
+        return out
 
 
 def _parse_pairs(value: str) -> tuple:

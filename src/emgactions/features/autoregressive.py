@@ -11,7 +11,7 @@ class OrderTooHighError(ValueError):
     """AR order must be strictly below the segment length."""
 
 
-class PoleOnGridError(ArithmeticError):
+class PoleOnGridError(ValueError):
     """AR denominator vanished on the evaluation grid (near-unstable model)."""
 
 

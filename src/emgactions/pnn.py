@@ -9,15 +9,12 @@ the training set.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_SIGMA_GRID = (0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0, 1.5)
-
-MODEL_FORMAT = "pnn-model-v1"
 
 
 class NonPositiveSigmaError(ValueError):
@@ -26,10 +23,6 @@ class NonPositiveSigmaError(ValueError):
 
 class DimensionMismatchError(ValueError):
     """Input dimension differs from the model's feature dimension."""
-
-
-class EmptyGridError(ValueError):
-    """Sigma selection needs a nonempty candidate grid."""
 
 
 class EmptyClassWarning(UserWarning):
@@ -83,32 +76,26 @@ class PnnModel:
 
     Attributes:
         normalizer: training-split z-scoring statistics.
+        exemplars: (N, D) normalized training vectors, stably sorted by label,
+            so each class's rows are contiguous and keep their training order.
         class_ids: ascending class ids that have exemplars.
-        exemplars: normalized training vectors, one array per class id.
+        counts: exemplar count per entry of class_ids.
         sigma: Gaussian kernel width (> 0).
         priors: prior probability per class id in 1..n_classes, summing to 1.
         n_classes: label range size C.
     """
 
     normalizer: Normalizer
+    exemplars: np.ndarray
     class_ids: np.ndarray
-    exemplars: list = field(default_factory=list)
-    sigma: float = 1.0
-    priors: np.ndarray = None
-    n_classes: int = 0
-
-    def __post_init__(self):
-        self.class_ids = np.asarray(self.class_ids, dtype=int)
-        self.priors = np.asarray(self.priors, dtype=float)
+    counts: np.ndarray
+    sigma: float
+    priors: np.ndarray
+    n_classes: int
 
     @property
     def n_features(self) -> int:
         return self.normalizer.mean.size
-
-    def predict(self, x):
-        """Classify one vector; returns (label, posterior over 1..n_classes)."""
-        labels, posteriors = self.predict_batch(np.asarray(x, dtype=float).reshape(1, -1))
-        return int(labels[0]), posteriors[0]
 
     def predict_batch(self, X):
         """Classify rows of X; returns (labels (n,), posteriors (n, C)).
@@ -119,32 +106,35 @@ class PnnModel:
         normalization, so posteriors are unchanged while tiny sigmas stay
         clear of underflow. If every score still underflows to 0 the
         posterior falls back to uniform (label = smallest id).
+
+        Raises:
+            DimensionMismatchError: X is not (n, n_features).
+            ValueError: X holds a NaN or infinite value.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise DimensionMismatchError(
                 f"expected {self.n_features} features, got shape {X.shape}"
             )
+        _require_finite(X, "query")
         Xn = self.normalizer.transform(X)
-        n = Xn.shape[0]
-        inv = -1.0 / (2.0 * self.sigma * self.sigma)
-        exponents = []
-        for E in self.exemplars:
-            d2 = (
-                np.sum(Xn * Xn, axis=1, keepdims=True)
-                + np.sum(E * E, axis=1)[np.newaxis, :]
-                - 2.0 * Xn @ E.T
-            )
-            np.maximum(d2, 0.0, out=d2)
-            exponents.append(d2 * inv)
-        shift = np.max(
-            [e.max(axis=1) for e in exponents],
-            axis=0,
-        )
+        E = self.exemplars
+        # Every step works in place on the one (n, N) buffer: a temporary per
+        # step pushes it out of cache and costs more than the arithmetic.
+        k = Xn @ E.T
+        k *= -2.0
+        k += np.sum(Xn * Xn, axis=1)[:, np.newaxis]
+        k += np.sum(E * E, axis=1)
+        np.maximum(k, 0.0, out=k)
+        k *= -1.0 / (2.0 * self.sigma * self.sigma)
+        k -= k.max(axis=1, keepdims=True)
+        np.exp(k, out=k)
+        starts = np.cumsum(self.counts) - self.counts
+        kernel_mean = np.add.reduceat(k, starts, axis=1) / self.counts
+        n = X.shape[0]
         scores = np.zeros((n, self.n_classes))
-        for cid, expo in zip(self.class_ids, exponents):
-            kernel_mean = np.exp(expo - shift[:, np.newaxis]).mean(axis=1)
-            scores[:, cid - 1] = self.priors[cid - 1] * kernel_mean
+        cols = self.class_ids - 1
+        scores[:, cols] = self.priors[cols] * kernel_mean
         totals = scores.sum(axis=1)
         posteriors = np.full((n, self.n_classes), 1.0 / self.n_classes)
         ok = totals > 0.0
@@ -153,11 +143,18 @@ class PnnModel:
         return labels.astype(int), posteriors
 
 
+def _require_finite(X: np.ndarray, what: str) -> None:
+    finite = np.isfinite(X)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(f"{what} row {r} column {c} is {float(X[r, c])!r}; values must be finite")
+
+
 def fit_pnn(X, y, sigma: float, priors=None, n_classes: int | None = None) -> PnnModel:
-    """Store normalized exemplars grouped by class.
+    """Store normalized exemplars sorted by class.
 
     Args:
-        X: (P, D) training matrix, nonempty.
+        X: (P, D) training matrix, nonempty and finite.
         y: labels in 1..C.
         sigma: kernel width > 0.
         priors: per-class priors over 1..C; default uniform.
@@ -165,6 +162,8 @@ def fit_pnn(X, y, sigma: float, priors=None, n_classes: int | None = None) -> Pn
 
     Raises:
         NonPositiveSigmaError: sigma <= 0.
+        ValueError: X holds a NaN or infinite value, or the shapes or
+            labels are invalid.
 
     Warns:
         EmptyClassWarning: a label in 1..C has no exemplar.
@@ -175,6 +174,7 @@ def fit_pnn(X, y, sigma: float, priors=None, n_classes: int | None = None) -> Pn
         raise ValueError("training matrix must be 2-d and nonempty")
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y lengths differ")
+    _require_finite(X, "training")
     if sigma <= 0.0:
         raise NonPositiveSigmaError(f"sigma must be > 0, got {sigma}")
     if np.any(y < 1):
@@ -182,7 +182,8 @@ def fit_pnn(X, y, sigma: float, priors=None, n_classes: int | None = None) -> Pn
     C = int(n_classes) if n_classes is not None else int(y.max())
     if y.max() > C:
         raise ValueError(f"label {y.max()} exceeds n_classes={C}")
-    missing = sorted(set(range(1, C + 1)) - set(int(v) for v in y))
+    per_class = np.bincount(y, minlength=C + 1)[1:]
+    missing = (np.flatnonzero(per_class == 0) + 1).tolist()
     if missing:
         warnings.warn(
             f"classes without exemplars can never be predicted: {missing}",
@@ -196,111 +197,13 @@ def fit_pnn(X, y, sigma: float, priors=None, n_classes: int | None = None) -> Pn
         if priors.size != C:
             raise ValueError(f"priors length {priors.size} != n_classes {C}")
     normalizer = Normalizer.fit(X)
-    Xn = normalizer.transform(X)
-    class_ids = np.unique(y)
-    exemplars = [Xn[y == cid] for cid in class_ids]
+    class_ids = np.flatnonzero(per_class) + 1
     return PnnModel(
         normalizer=normalizer,
+        exemplars=normalizer.transform(X[np.argsort(y, kind="stable")]),
         class_ids=class_ids,
-        exemplars=exemplars,
+        counts=per_class[class_ids - 1],
         sigma=float(sigma),
         priors=priors,
         n_classes=C,
-    )
-
-
-def _round_robin_folds(y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Stratified fold assignment: shuffle, then deal each class round-robin."""
-    order = rng.permutation(y.size)
-    assignment = np.empty(y.size, dtype=int)
-    for cid in np.unique(y[order]):
-        members = order[y[order] == cid]
-        assignment[members] = np.arange(members.size) % k
-    return assignment
-
-
-def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -> float:
-    """Pick the kernel width maximizing internal cross-validated accuracy.
-
-    Candidates are tried in ascending order and only strict improvements are
-    kept, so ties resolve toward the smallest sigma. Runs entirely on the
-    given data; callers pass their training split only.
-
-    Raises:
-        EmptyGridError: no candidates.
-    """
-    grid = sorted(float(s) for s in grid)
-    if not grid:
-        raise EmptyGridError("sigma grid is empty")
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    rng = np.random.default_rng(seed)
-    assignment = _round_robin_folds(y, folds, rng)
-    best_sigma = grid[0]
-    best_score = -1.0
-    for sigma in grid:
-        correct = 0
-        total = 0
-        for f in range(folds):
-            test = assignment == f
-            if not np.any(test) or np.all(test):
-                continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EmptyClassWarning)
-                model = fit_pnn(X[~test], y[~test], sigma, n_classes=int(y.max()))
-            labels, _ = model.predict_batch(X[test])
-            correct += int(np.sum(labels == y[test]))
-            total += int(np.sum(test))
-        score = correct / total if total else 0.0
-        if score > best_score:
-            best_score = score
-            best_sigma = sigma
-    return best_sigma
-
-
-def save_model(model: PnnModel, path: str) -> None:
-    """Serialize a model to a versioned JSON file.
-
-    All floats are emitted with repr, so load_model(save_model(m)) restores
-    bit-identical values.
-    """
-    payload = {
-        "format": MODEL_FORMAT,
-        "sigma": model.sigma,
-        "n_classes": model.n_classes,
-        "priors": model.priors.tolist(),
-        "normalizer": {
-            "mean": model.normalizer.mean.tolist(),
-            "scale": model.normalizer.scale.tolist(),
-        },
-        "classes": [
-            {"id": int(cid), "exemplars": E.tolist()}
-            for cid, E in zip(model.class_ids, model.exemplars)
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path: str) -> PnnModel:
-    """Restore a model written by save_model."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unsupported model format: {payload.get('format')!r}")
-    normalizer = Normalizer(
-        mean=np.array(payload["normalizer"]["mean"], dtype=float),
-        scale=np.array(payload["normalizer"]["scale"], dtype=float),
-    )
-    classes = payload["classes"]
-    return PnnModel(
-        normalizer=normalizer,
-        class_ids=np.array([c["id"] for c in classes], dtype=int),
-        exemplars=[np.array(c["exemplars"], dtype=float) for c in classes],
-        sigma=float(payload["sigma"]),
-        priors=np.array(payload["priors"], dtype=float),
-        n_classes=int(payload["n_classes"]),
     )

@@ -17,16 +17,10 @@ import pytest
 
 from emgactions.crossval import kfold_cv, monte_carlo
 from emgactions.dataset import load_dataset, scan_action_tree
-from emgactions.features import (
-    FeatureConfig,
-    band_powers,
-    burg_ar,
-    extract_feature_matrix,
-    lbp_features,
-    power_spectrum,
-    registry_for,
-    spectral_moments,
-)
+from emgactions.features.assemble import FeatureConfig, extract_feature_matrix, registry_for
+from emgactions.features.autoregressive import band_powers, burg_ar
+from emgactions.features.localbinary import lbp_features
+from emgactions.features.spectral import power_spectrum, spectral_moments
 from emgactions.metrics import accuracy, kappa
 from emgactions.pnn import PnnConfig, fit_pnn
 from emgactions.selection import (

@@ -5,18 +5,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emgactions.dataset import segment_channel
-from emgactions.features import (
-    ar_psd,
-    band_powers,
-    burg_ar,
-    compute_ics,
-    ics_max_xcorr,
-    lbp_features,
-    lmf_features,
-    power_spectrum,
-    spectral_moments,
-    tds,
-)
+from emgactions.features.autoregressive import ar_psd, band_powers, burg_ar
+from emgactions.features.crosschannel import compute_ics, ics_max_xcorr
+from emgactions.features.localbinary import lbp_features
+from emgactions.features.spectral import lmf_features, power_spectrum, spectral_moments
+from emgactions.features.timedomain import tds
 
 # Batched and 1-D calls may reduce in a different order (BLAS matrix-matrix
 # against matrix-vector products), so they agree to a few ulps of each

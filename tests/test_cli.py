@@ -9,6 +9,7 @@ import pytest
 
 import emgactions
 from emgactions.cli import main
+from emgactions.features.autoregressive import PoleOnGridError
 from emgactions.features.export import read_feature_csv
 from emgactions.features.registry import build_registry
 from emgactions.selection import reference_selection
@@ -111,6 +112,29 @@ class TestExtract:
 
     def test_manifest_required(self, tmp_path, capsys):
         assert main(["extract", "--out", str(tmp_path)]) == 2
+
+    def test_pole_on_grid_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # A zeroed channel fits a zero-noise AR model; a stand-in ar_psd fails
+        # on exactly that model, as a near-unstable fit would.
+        from emgactions.features import assemble
+
+        rows = np.random.default_rng(0).normal(0, 1.0, (3 * 40, 8))
+        rows[80:, 2] = 0.0  # trial 3, channel 3
+        np.savetxt(tmp_path / "Bowing.txt", rows, fmt="%.6f")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"root = {tmp_path}\ntrials = 3\nchannels = 8\nentry = Bowing.txt 4 7\n")
+        real = assemble.ar_psd
+
+        def ar_psd(model, grid_size=100):
+            if np.any(np.asarray(model.noise_variance) == 0.0):
+                raise PoleOnGridError("AR denominator vanished on the frequency grid")
+            return real(model, grid_size)
+
+        monkeypatch.setattr(assemble, "ar_psd", ar_psd)
+        rc = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: subject 4 action 7 trial 3 channel 3 sbp: AR denominator vanished" in err
 
 
 class TestSelect:

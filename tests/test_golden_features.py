@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from emgactions.features import FeatureConfig, extract_feature_matrix
+from emgactions.features.assemble import FeatureConfig, extract_feature_matrix
 
 from ._synth import action_patterns, correlated_patterns
 

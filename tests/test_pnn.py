@@ -1,19 +1,14 @@
-import json
-
 import numpy as np
 import pytest
 
+from emgactions.crossval import EmptyGridError, select_sigma
 from emgactions.pnn import (
     DEFAULT_SIGMA_GRID,
     DimensionMismatchError,
     EmptyClassWarning,
-    EmptyGridError,
     NonPositiveSigmaError,
     Normalizer,
     fit_pnn,
-    load_model,
-    save_model,
-    select_sigma,
 )
 from ._synth import blobs
 
@@ -43,10 +38,14 @@ class TestNormalizer:
 class TestFit:
     def test_exemplars_grouped_by_class(self):
         X, y = blobs(n_per_class=5, n_classes=3, seed=1)
-        model = fit_pnn(X, y, sigma=0.5)
+        order = np.random.default_rng(1).permutation(y.size)
+        model = fit_pnn(X[order], y[order], sigma=0.5)
         assert model.n_classes == 3
         assert model.class_ids.tolist() == [1, 2, 3]
-        assert [len(e) for e in model.exemplars] == [5, 5, 5]
+        assert model.counts.tolist() == [5, 5, 5]
+        # class-sorted, each class keeping its training order
+        stable = np.argsort(y[order], kind="stable")
+        assert np.array_equal(model.exemplars, model.normalizer.transform(X[order][stable]))
         assert model.priors.tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
     def test_nonpositive_sigma_rejected(self):
@@ -62,14 +61,23 @@ class TestFit:
             model = fit_pnn(X, y, sigma=0.5, n_classes=3)
         assert model.class_ids.tolist() == [1, 3]  # class 2 has no exemplars
         assert model.n_classes == 3
-        label, post = model.predict(np.array([0.05]))
-        assert label == 1
-        assert post.shape == (3,)
-        assert post[1] == 0.0
+        assert model.counts.tolist() == [2, 2]
+        labels, post = model.predict_batch(np.array([0.05])[None])
+        assert labels.tolist() == [1]
+        assert post.shape == (1, 3)
+        assert post[0, 1] == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             fit_pnn(np.zeros((4, 2)), np.array([1, 2, 1]), sigma=0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_training_value_rejected(self, bad):
+        X, y = blobs(n_per_class=4, dim=3, seed=18)
+        X[5, 2] = bad
+        X[6, 0] = np.nan
+        with pytest.raises(ValueError, match=rf"training row 5 column 2 is {bad!r}"):
+            fit_pnn(X, y, sigma=0.5)
 
 
 class TestPredict:
@@ -94,15 +102,15 @@ class TestPredict:
         X = np.array([[-1.0], [1.0]])
         y = np.array([1, 2])
         model = fit_pnn(X, y, sigma=0.5)
-        label, post = model.predict(np.array([0.0]))
-        assert label == 1
-        assert post == pytest.approx([0.5, 0.5])
+        labels, post = model.predict_batch(np.array([0.0])[None])
+        assert labels.tolist() == [1]
+        assert post[0] == pytest.approx([0.5, 0.5])
 
     def test_huge_sigma_recovers_priors(self):
         X, y = blobs(n_per_class=6, n_classes=2, seed=5)
         model = fit_pnn(X, y, sigma=1e6, priors=(0.7, 0.3))
-        _, post = model.predict(np.array([0.3] * X.shape[1]))
-        assert post == pytest.approx([0.7, 0.3], abs=1e-4)
+        _, post = model.predict_batch(np.array([0.3] * X.shape[1])[None])
+        assert post[0] == pytest.approx([0.7, 0.3], abs=1e-4)
 
     def test_duplicating_exemplars_changes_nothing(self):
         X, y = blobs(n_per_class=7, n_classes=3, dim=2, seed=6)
@@ -134,17 +142,27 @@ class TestPredict:
     def test_far_query_keeps_valid_posterior(self):
         X, y = blobs(n_per_class=5, n_classes=2, dim=2, seed=9)
         model = fit_pnn(X, y, sigma=0.05)
-        label, post = model.predict(np.array([1e9, -1e9]))
-        assert label in (1, 2)
-        assert post.sum() == pytest.approx(1.0)
+        labels, post = model.predict_batch(np.array([1e9, -1e9])[None])
+        assert labels[0] in (1, 2)
+        assert post[0].sum() == pytest.approx(1.0)
 
     def test_dimension_mismatch_on_predict(self):
         X, y = blobs(n_per_class=4, dim=3, seed=10)
         model = fit_pnn(X, y, sigma=0.5)
         with pytest.raises(DimensionMismatchError):
-            model.predict(np.zeros(2))
+            model.predict_batch(np.zeros(2)[None])
         with pytest.raises(DimensionMismatchError):
             model.predict_batch(np.zeros((5, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        X, y = blobs(n_per_class=4, dim=3, seed=19)
+        model = fit_pnn(X, y, sigma=0.5)
+        Q = np.zeros((4, 3))
+        Q[2, 1] = bad
+        Q[3, 0] = bad
+        with pytest.raises(ValueError, match=rf"query row 2 column 1 is {bad!r}"):
+            model.predict_batch(Q)
 
 
 class TestSigmaSelection:
@@ -170,34 +188,3 @@ class TestSigmaSelection:
         X, y = blobs(n_per_class=12, n_classes=3, spread=1.5, seed=14)
         picks = {select_sigma(X, y, DEFAULT_SIGMA_GRID, folds=4, seed=3) for _ in range(3)}
         assert len(picks) == 1
-
-
-class TestPersistence:
-    def test_round_trip_bit_exact(self, tmp_path):
-        X, y = blobs(n_per_class=6, n_classes=3, dim=4, seed=15)
-        model = fit_pnn(X, y, sigma=0.37)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.sigma == model.sigma
-        assert np.array_equal(loaded.class_ids, model.class_ids)
-        assert np.array_equal(loaded.priors, model.priors)
-        rng = np.random.default_rng(16)
-        Q = rng.normal(0, 2, (25, 4))
-        la, pa = model.predict_batch(Q)
-        lb, pb = loaded.predict_batch(Q)
-        assert np.array_equal(la, lb)
-        assert np.array_equal(pa, pb)
-
-    def test_file_is_tagged_json(self, tmp_path):
-        X, y = blobs(n_per_class=3, seed=17)
-        path = tmp_path / "model.json"
-        save_model(fit_pnn(X, y, sigma=0.5), path)
-        payload = json.loads(path.read_text())
-        assert payload["format"] == "pnn-model-v1"
-
-    def test_rejects_wrong_format(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "other"}')
-        with pytest.raises(ValueError):
-            load_model(path)

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from emgactions.dataset import Pattern
-from emgactions.features import (
-    DEFAULT_PAIRS,
-    BadIndexError,
+from emgactions.features.assemble import (
     FeatureConfig,
-    PoleOnGridError,
-    WindowTooLongError,
     assemble_features,
-    build_registry,
     extract_feature_matrix,
     registry_for,
 )
+from emgactions.features.autoregressive import PoleOnGridError
+from emgactions.features.crosschannel import DEFAULT_PAIRS
+from emgactions.features.localbinary import WindowTooLongError
+from emgactions.features.registry import BadIndexError, build_registry
 
 
 def make_pattern(seed=0, channels=8, samples=64, label=1):
