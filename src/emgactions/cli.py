@@ -113,9 +113,9 @@ def cmd_extract(args) -> int:
         manifest = scan_action_tree(manifest_path, channels=cfg.channels)
     else:
         manifest = read_manifest(manifest_path)
-    patterns = load_dataset(manifest)
+    recordings = load_dataset(manifest)
     feature_config = cfg.feature_config()
-    X, y, subjects, trials = extract_feature_matrix(patterns, feature_config)
+    X, y, subjects, trials = extract_feature_matrix(recordings, feature_config)
     registry = registry_for(feature_config, channels=cfg.channels)
     os.makedirs(cfg.out, exist_ok=True)
     features_path = os.path.join(cfg.out, "features.csv")

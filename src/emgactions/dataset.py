@@ -3,8 +3,9 @@
 A recording is a plain text file with one row per time sample and one
 whitespace-separated numeric column per channel. Each file holds every trial
 of one (subject, action) pair back to back; trials are recovered by an even
-split along the time axis. Channels of a trial are further sliced into
-non-overlapping analysis windows (segments) for feature extraction.
+split along the time axis into one (R, M, N) array per recording. Channels
+of a trial are further sliced into non-overlapping analysis windows
+(segments) for feature extraction.
 
 Dataset layout is described by a manifest: a flat key-value text file that
 names the root directory, the per-file trial count, the channel count, and
@@ -71,58 +72,19 @@ class MissingFileError(FileNotFoundError):
 
 
 @dataclass
-class MultiChannelRecording:
+class Recording:
     """One raw recording file: all trials of one subject performing one action.
 
     Attributes:
-        samples: float array of shape (N_total, M); rows are time samples,
-            columns are channels.
+        trials: float array of shape (R, M, N): R trials of M channels with
+            N samples each.
         subject_id: integer subject identifier.
         action_label: class id of the recorded action (1..C).
     """
 
-    samples: np.ndarray
+    trials: np.ndarray
     subject_id: int
     action_label: int
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.samples.shape[1]
-
-
-@dataclass
-class Pattern:
-    """One classification unit: a single trial with M channels of N samples.
-
-    Attributes:
-        channels: float array of shape (M, N).
-        label: class id (1..C).
-        subject_id: subject the trial came from.
-        trial_index: 1-based position of the trial within its recording.
-    """
-
-    channels: np.ndarray
-    label: int
-    subject_id: int
-    trial_index: int
-
-    def __post_init__(self):
-        self.channels = np.asarray(self.channels, dtype=float)
-
-    @property
-    def n_channels(self) -> int:
-        return self.channels.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.channels.shape[1]
 
 
 @dataclass
@@ -162,12 +124,7 @@ class DatasetManifest:
             seen.add(key)
 
 
-def parse_recording(
-    text,
-    expected_channels: int,
-    subject_id: int = 0,
-    action_label: int = 0,
-) -> MultiChannelRecording:
+def parse_recording(text, expected_channels: int) -> np.ndarray:
     """Parse a whitespace-delimited numeric recording.
 
     The whole input is read with one bulk numpy parse. Only when that fails,
@@ -178,11 +135,10 @@ def parse_recording(
     Args:
         text: a string or an iterable of lines.
         expected_channels: required field count per data line.
-        subject_id: subject id stored on the result.
-        action_label: class id stored on the result.
 
     Returns:
-        MultiChannelRecording with one row per non-empty line, in input order.
+        float array of shape (N_total, M): one row per non-empty line, in
+        input order, one column per channel.
 
     Raises:
         MalformedLineError: wrong field count, or a field that is not a
@@ -205,7 +161,7 @@ def parse_recording(
         or not np.isfinite(samples).all()
     ):
         samples = _parse_lines(lines, expected_channels)
-    return MultiChannelRecording(samples, subject_id, action_label)
+    return samples
 
 
 def _parse_lines(lines, expected_channels: int) -> np.ndarray:
@@ -233,34 +189,26 @@ def _parse_lines(lines, expected_channels: int) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def split_trials(rec: MultiChannelRecording, trials: int) -> list[Pattern]:
-    """Split a recording into `trials` equal-length patterns.
+def split_trials(samples, trials: int) -> np.ndarray:
+    """Split (N_total, M) recording samples into `trials` equal-length trials.
 
-    Each pattern gets N = floor(N_total / trials) samples per channel;
+    Each trial gets N = floor(N_total / trials) samples per channel;
     trailing remainder samples are dropped.
+
+    Returns:
+        A C-contiguous float array of shape (trials, M, N).
 
     Raises:
         TooShortError: if the recording has fewer samples than trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n = rec.n_samples // trials
+    samples = np.asarray(samples, dtype=float)
+    n_total, m = samples.shape
+    n = n_total // trials
     if n < 1:
-        raise TooShortError(
-            f"{rec.n_samples} samples cannot supply {trials} non-empty trials"
-        )
-    out = []
-    for t in range(trials):
-        block = rec.samples[t * n : (t + 1) * n, :]
-        out.append(
-            Pattern(
-                channels=block.T.copy(),
-                label=rec.action_label,
-                subject_id=rec.subject_id,
-                trial_index=t + 1,
-            )
-        )
-    return out
+        raise TooShortError(f"{n_total} samples cannot supply {trials} non-empty trials")
+    return np.ascontiguousarray(samples[: trials * n].reshape(trials, n, m).transpose(0, 2, 1))
 
 
 def segment_channel(x, window: int) -> np.ndarray:
@@ -280,15 +228,6 @@ def segment_channel(x, window: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(x, window, axis=-1)[..., ::window, :]
 
 
-def window_samples(sampling_rate_hz: float, duration_ms: float = 200.0) -> int:
-    """Convert a window duration in milliseconds to a sample count."""
-    if sampling_rate_hz <= 0:
-        raise ValueError("sampling_rate_hz must be positive")
-    if duration_ms <= 0:
-        raise ValueError("duration_ms must be positive")
-    return max(1, int(round(sampling_rate_hz * duration_ms / 1000.0)))
-
-
 def read_manifest(path: str) -> DatasetManifest:
     """Read a flat key-value manifest file.
 
@@ -304,71 +243,68 @@ def read_manifest(path: str) -> DatasetManifest:
 
     Raises:
         MissingFileError: manifest file absent.
-        ValueError: malformed line or unknown key.
+        ValueError: malformed line, unknown key, a ``trials`` or
+            ``channels`` value that is not an integer >= 1, or an entry id
+            that is not a nonnegative integer; the message starts with
+            ``path:line``.
     """
     if not os.path.isfile(path):
         raise MissingFileError(f"manifest not found: {path}")
     base = os.path.dirname(os.path.abspath(path))
     root = base
-    trials = 15
-    channels = 8
+    counts = {"trials": 15, "channels": 8}
     entries: list[ManifestEntry] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{line_no}"
             if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value'")
+                raise ValueError(f"{where}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             if key == "root":
                 root = value if os.path.isabs(value) else os.path.join(base, value)
-            elif key == "trials":
-                trials = int(value)
-            elif key == "channels":
-                channels = int(value)
+            elif key in counts:
+                if not value.isdecimal() or int(value) < 1:
+                    raise ValueError(f"{where}: {key} must be an integer >= 1, got {value!r}")
+                counts[key] = int(value)
             elif key == "entry":
                 parts = value.rsplit(None, 2)
-                if len(parts) != 3:
-                    raise ValueError(
-                        f"{path}:{line_no}: entry needs '<path> <subject> <label>'"
-                    )
+                if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
+                    raise ValueError(f"{where}: entry needs '<path> <int subject> <int label>'")
                 entries.append(ManifestEntry(parts[0], int(parts[1]), int(parts[2])))
             else:
-                raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-    return DatasetManifest(root=root, entries=entries, trials_per_file=trials, channels=channels)
+                raise ValueError(f"{where}: unknown key {key!r}")
+    return DatasetManifest(root, entries, counts["trials"], counts["channels"])
 
 
-def load_dataset(manifest: DatasetManifest) -> list[Pattern]:
-    """Load and split every manifest entry into labeled patterns.
+def load_dataset(manifest: DatasetManifest) -> list[Recording]:
+    """Load every manifest entry and split it into its trials.
 
-    Returns entries' trials concatenated in manifest order, trials_per_file
-    patterns per entry.
+    Returns:
+        One Recording per entry, in manifest order, each holding
+        trials_per_file trials.
 
     Raises:
         MissingFileError: an entry path does not exist.
-        MalformedLineError, EmptyRecordingError: propagated with the file
-            path prepended to the message.
+        MalformedLineError, EmptyRecordingError, TooShortError: propagated
+            with the file path prepended to the message.
     """
-    patterns: list[Pattern] = []
+    recordings: list[Recording] = []
     for entry in manifest.entries:
         full = os.path.join(manifest.root, entry.path)
         if not os.path.isfile(full):
             raise MissingFileError(f"recording not found: {full}")
-        with open(full, "r", encoding="utf-8") as fh:
-            try:
-                rec = parse_recording(
-                    fh,
-                    manifest.channels,
-                    subject_id=entry.subject_id,
-                    action_label=entry.action_label,
-                )
-            except MalformedLineError as exc:
-                raise MalformedLineError(exc.line_no, f"{full}: {exc}") from None
-            except EmptyRecordingError:
-                raise EmptyRecordingError(f"{full}: no data lines") from None
-        patterns.extend(split_trials(rec, manifest.trials_per_file))
-    return patterns
+        try:
+            with open(full, "r", encoding="utf-8") as fh:
+                samples = parse_recording(fh, manifest.channels)
+            trials = split_trials(samples, manifest.trials_per_file)
+        except (MalformedLineError, EmptyRecordingError, TooShortError) as exc:
+            exc.args = (f"{full}: {exc}",)
+            raise
+        recordings.append(Recording(trials, entry.subject_id, entry.action_label))
+    return recordings
 
 
 def _normalize_action_name(name: str) -> str:

@@ -2,23 +2,17 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from emgactions.dataset import Pattern, segment_channel
+from emgactions.dataset import segment_channel
 from emgactions.features.autoregressive import ar_psd, band_powers, burg_ar
 from emgactions.features.crosschannel import DEFAULT_PAIRS, compute_ics
 from emgactions.features.localbinary import LBP_THRESHOLD, LBP_WINDOW, lbp_features
 from emgactions.features.registry import FeatureRegistry, build_registry
 from emgactions.features.spectral import lmf_features, power_spectrum, spectral_moments
 from emgactions.features.timedomain import tds
-
-# Patterns computed together: one recording of the paper's corpus (15
-# trials). One block for the whole corpus ran slower and held far larger FFT
-# buffers.
-BLOCK_PATTERNS = 15
 
 
 @dataclass(frozen=True)
@@ -54,8 +48,8 @@ def registry_for(config: FeatureConfig, channels: int = 8) -> FeatureRegistry:
     )
 
 
-def assemble_features(patterns, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Compute the full feature vector of one pattern, or of a block of them.
+def assemble_features(trials, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Compute the feature vectors of a block of trials.
 
     Blocks are concatenated as [TDS | ICS | LMF | SBP | LBP], channel-major
     within each single-channel block. When the window splits a trial into
@@ -64,33 +58,34 @@ def assemble_features(patterns, config: FeatureConfig = FeatureConfig()) -> np.n
     the default configuration the vector has 32+12+136+80+16 = 276 entries.
 
     Args:
-        patterns: one Pattern, or a sequence of P patterns with equal
-            channel count and length. Every family is computed once for the
-            whole (P, M, W, L) stack of segments.
+        trials: float array of shape (P, M, N): P trials of M channels with
+            N samples each. Every family is computed once for the whole
+            (P, M, W, L) stack of segments. One (M, N) trial is the one-row
+            case.
         config: extraction parameters.
 
     Returns:
-        A (D,) row for one Pattern, otherwise a (P, D) matrix.
+        A (P, D) matrix, or the (D,) row of one (M, N) trial.
 
     Raises:
-        Extractor errors, annotated with the subject, action label, trial
-        index, channel and modality of the first segment that raises.
+        Extractor errors, annotated with the 1-based trial index, channel
+        and modality of the first segment that raises, e.g.
+        ``trial 3 channel 6 sbp: ...``.
     """
-    group = [patterns] if isinstance(patterns, Pattern) else list(patterns)
-    x = np.stack([p.channels for p in group])
-    segs = segment_channel(x, config.window if config.window is not None else x.shape[-1])
+    x = np.asarray(trials, dtype=float)
+    block = x.reshape(-1, *x.shape[-2:])
+    segs = segment_channel(block, config.window if config.window is not None else x.shape[-1])
 
     def per_channel(modality, extract):
-        values = _located(modality, extract, segs, group, row_axes=3)
-        return values.mean(axis=2).reshape(len(group), -1)
+        values = _located(modality, extract, segs, row_axes=2)
+        return values.mean(axis=2).reshape(len(block), -1)
 
     blocks = [
         per_channel("tds", tds),
         _located(
             "ics",
             lambda c: compute_ics(c, config.pairs, window=config.window),
-            x,
-            group,
+            block,
             row_axes=1,
         ),
         per_channel("lmf", lambda s: lmf_features(spectral_moments(power_spectrum(s)))),
@@ -102,14 +97,13 @@ def assemble_features(patterns, config: FeatureConfig = FeatureConfig()) -> np.n
         ),
         per_channel("lbp", lambda s: lbp_features(s, config.lbp_window, config.lbp_threshold)),
     ]
-    rows = np.concatenate(blocks, axis=1)
-    return rows[0] if isinstance(patterns, Pattern) else rows
+    return np.concatenate(blocks, axis=1).reshape(*x.shape[:-2], -1)
 
 
-def _located(modality, extract, block, group, row_axes):
+def _located(modality, extract, block, row_axes):
     """extract(block), or the first failing row's error, named by its origin.
 
-    The first row_axes axes of block index rows: the first indexes group,
+    The first row_axes axes of block index rows: the first indexes trials,
     the second, when present, channels. A batched call cannot say which row
     raised, so on error every row is rerun alone until one raises again.
     """
@@ -120,32 +114,38 @@ def _located(modality, extract, block, group, row_axes):
             try:
                 extract(block[idx])
             except Exception as exc:
-                p = group[idx[0]]
-                where = f"subject {p.subject_id} action {p.label} trial {p.trial_index}"
+                where = f"trial {idx[0] + 1}"
                 if row_axes > 1:
                     where += f" channel {idx[1] + 1}"
                 raise type(exc)(f"{where} {modality}: {exc}") from None
         raise
 
 
-def extract_feature_matrix(patterns, config: FeatureConfig = FeatureConfig()):
-    """Assemble features for a pattern sequence.
+def extract_feature_matrix(recordings, config: FeatureConfig = FeatureConfig()):
+    """Assemble features for every trial of a sequence of recordings.
 
-    Consecutive patterns of equal shape are computed together, in blocks of
-    at most BLOCK_PATTERNS.
+    Each recording's (R, M, N) trials are computed as one block.
 
     Returns:
-        (X, y, subjects, trials): X is (P, D) float, the rest are (P,) int
-        arrays aligned with the pattern order.
+        (X, y, subjects, trials): X is (P, D) float with one row per trial,
+        recording by recording; y, subjects and trials are (P,) int arrays
+        aligned with it: the action label, the subject id and the 1-based
+        trial index within the recording.
+
+    Raises:
+        Extractor errors, annotated as by assemble_features and prefixed
+        with the recording's subject id and action label, e.g.
+        ``subject 3 action 12 trial 3 channel 6 sbp: ...``.
     """
-    patterns = list(patterns)
+    recordings = list(recordings)
     blocks = []
-    for _, run in itertools.groupby(patterns, key=lambda p: p.channels.shape):
-        run = list(run)
-        for start in range(0, len(run), BLOCK_PATTERNS):
-            blocks.append(assemble_features(run[start : start + BLOCK_PATTERNS], config))
-    X = np.vstack(blocks)
-    y = np.array([p.label for p in patterns], dtype=int)
-    subjects = np.array([p.subject_id for p in patterns], dtype=int)
-    trials = np.array([p.trial_index for p in patterns], dtype=int)
-    return X, y, subjects, trials
+    for rec in recordings:
+        try:
+            blocks.append(assemble_features(rec.trials, config))
+        except Exception as exc:
+            raise type(exc)(f"subject {rec.subject_id} action {rec.action_label} {exc}") from None
+    counts = [len(rec.trials) for rec in recordings]
+    y = np.repeat(np.array([rec.action_label for rec in recordings], dtype=int), counts)
+    subjects = np.repeat(np.array([rec.subject_id for rec in recordings], dtype=int), counts)
+    trials = np.concatenate([np.arange(1, n + 1) for n in counts])
+    return np.vstack(blocks), y, subjects, trials

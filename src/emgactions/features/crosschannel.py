@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from emgactions.dataset import Pattern, segment_channel
+from emgactions.dataset import segment_channel
 
 # Default channel pairs: six among the upper-limb electrodes (1-4), six among
 # the lower-limb electrodes (5-8), in this fixed order.
@@ -77,11 +77,11 @@ def _fft_size(n: int) -> int:
 
 
 def compute_ics(channels, pairs=DEFAULT_PAIRS, window: int | None = None) -> np.ndarray:
-    """Peak cross-correlation for each channel pair of a pattern.
+    """Peak cross-correlation for each channel pair of a trial.
 
     Args:
-        channels: a Pattern, or a float array of shape (..., M, N) whose
-            leading axes are batch axes.
+        channels: float array of shape (..., M, N) whose leading axes are
+            batch axes.
         pairs: 1-based (i, j) channel pairs, evaluated in order.
         window: segment length; None uses the whole trial. With several
             segments per trial the per-segment values are averaged.
@@ -92,7 +92,7 @@ def compute_ics(channels, pairs=DEFAULT_PAIRS, window: int | None = None) -> np.
     Raises:
         BadPairError: a pair references a channel outside 1..M.
     """
-    x = channels.channels if isinstance(channels, Pattern) else np.asarray(channels, dtype=float)
+    x = np.asarray(channels, dtype=float)
     m = x.shape[-2]
     for i, j in pairs:
         if not (1 <= i <= m and 1 <= j <= m):

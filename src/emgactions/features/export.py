@@ -36,9 +36,11 @@ def read_feature_csv(path: str):
         columns only.
 
     Raises:
-        ValueError: a malformed header or row, or a NaN or infinite feature
+        ValueError: a malformed header or row, a cell that does not parse
+            (a feature that is not a number, or a subject id, trial index
+            or label that is not an integer), or a NaN or infinite feature
             value; the message names the file and line, and the column of
-            a non-finite value.
+            a bad cell.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -54,10 +56,13 @@ def read_feature_csv(path: str):
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
-            rows.append([float(v) for v in row[:-3]])
-            subjects.append(int(row[-3]))
-            trials.append(int(row[-2]))
-            labels.append(int(row[-1]))
+            try:
+                rows.append([float(v) for v in row[:-3]])
+                subjects.append(int(row[-3]))
+                trials.append(int(row[-2]))
+                labels.append(int(row[-1]))
+            except ValueError:
+                raise _cell_error(f"{path}:{line_no}", header, row) from None
             line_nos.append(line_no)
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -75,6 +80,17 @@ def read_feature_csv(path: str):
         np.array(trials, dtype=int),
         names,
     )
+
+
+def _cell_error(where: str, header, row) -> ValueError:
+    """The error naming the first cell of row that does not parse."""
+    for col, (name, value) in enumerate(zip(header, row)):
+        integer = col >= len(header) - len(META_COLUMNS)
+        try:
+            int(value) if integer else float(value)
+        except ValueError:
+            kind = "integer" if integer else "numeric"
+            return ValueError(f"{where}: non-{kind} value {value!r} in column {name!r}")
 
 
 def write_registry_csv(path: str, registry: FeatureRegistry) -> None:

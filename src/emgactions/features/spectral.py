@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Floor for every logarithm argument; keeps silent channels finite.
@@ -27,20 +25,6 @@ MOMENT_PAIRS = (
 LMF_COUNT = 17
 
 
-@dataclass
-class SpectralMoments:
-    """Moments g(0..6) of a power spectrum: g(i) = sqrt(sum_k k^i psi(k)).
-
-    Nonnegative and nondecreasing in i, because the spectrum index k starts
-    at 1 so k^(i+1) psi >= k^i psi termwise. g has shape (..., 7).
-    """
-
-    g: np.ndarray
-
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float)
-
-
 def power_spectrum(segment) -> np.ndarray:
     """Squared-magnitude spectrum psi(k) = |sum_l s(l) e^(-i 2 pi l k / L)|^2.
 
@@ -56,13 +40,17 @@ def power_spectrum(segment) -> np.ndarray:
     return np.abs(np.roll(np.fft.fft(s, axis=-1), -1, axis=-1)) ** 2
 
 
-def spectral_moments(psi) -> SpectralMoments:
-    """Moments g(i) = sqrt(sum_{k=1..L} k^i psi(k)) for i = 0..6, along the last axis."""
+def spectral_moments(psi) -> np.ndarray:
+    """Moments g(i) = sqrt(sum_{k=1..L} k^i psi(k)) for i = 0..6, along the last axis.
+
+    Nonnegative and nondecreasing in i, because the spectrum index k starts
+    at 1 so k^(i+1) psi >= k^i psi termwise. (..., L) -> (..., 7).
+    """
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
     k = np.arange(1, psi.shape[-1] + 1, dtype=float)
     # Column i holds k^i, built by repeated multiplication.
     weights = np.cumprod(np.column_stack([np.ones_like(k)] + [k] * 6), axis=1)
-    return SpectralMoments(np.sqrt(psi @ weights))
+    return np.sqrt(psi @ weights)
 
 
 def _ln(x):
@@ -83,8 +71,7 @@ def lmf_features(moments) -> np.ndarray:
     Every log argument is floored at LOG_EPS, so the result is always finite.
     Leading axes are batch axes: (..., 7) -> (..., 17).
     """
-    g = moments.g if isinstance(moments, SpectralMoments) else np.asarray(moments, dtype=float)
-    g = np.moveaxis(g, -1, 0)
+    g = np.moveaxis(np.asarray(moments, dtype=float), -1, 0)
     i, j = np.array(MOMENT_PAIRS).T
     ln_g0 = _ln(g[0])
     head = [

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from emgactions.dataset import Pattern
+from emgactions.dataset import Recording
 
 
 def blobs(n_per_class=20, n_classes=2, dim=5, spread=0.2, separation=3.0, seed=0):
@@ -20,7 +20,7 @@ def blobs(n_per_class=20, n_classes=2, dim=5, spread=0.2, separation=3.0, seed=0
     return X, y
 
 
-def action_patterns(
+def action_recordings(
     n_classes=20,
     per_class=60,
     channels=8,
@@ -29,6 +29,8 @@ def action_patterns(
 ):
     """20-class multi-channel dataset with a single informative channel.
 
+    One recording of per_class trials per class, all from subject 1.
+
     Channel 1 carries a class-specific AR(2) process (pole angle spread over
     (0, pi)) plus a sinusoid at the class frequency with random phase; the
     remaining channels are white noise with identical statistics across
@@ -36,14 +38,15 @@ def action_patterns(
     channel carries any signal.
     """
     rng = np.random.default_rng(seed)
-    patterns = []
+    recordings = []
     n = np.arange(samples)
     for c in range(1, n_classes + 1):
         omega = np.pi * (c - 0.5) / n_classes
         r = 0.85
         a1, a2 = -2 * r * np.cos(omega), r * r
-        for t in range(1, per_class + 1):
-            X = rng.standard_normal((channels, samples))
+        trials = np.empty((per_class, channels, samples))
+        for X in trials:
+            X[:] = rng.standard_normal((channels, samples))
             e = rng.standard_normal(samples)
             x = np.empty(samples)
             x[0] = e[0]
@@ -52,11 +55,11 @@ def action_patterns(
                 x[i] = e[i] - a1 * x[i - 1] - a2 * x[i - 2]
             phase = rng.uniform(0, 2 * np.pi)
             X[0] = x + 3.0 * np.sin(omega * n + phase)
-            patterns.append(Pattern(X, label=c, subject_id=1, trial_index=t))
-    return patterns
+        recordings.append(Recording(trials, subject_id=1, action_label=c))
+    return recordings
 
 
-def correlated_patterns(
+def correlated_recordings(
     levels=(0.15, 0.6, 0.95),
     per_class=40,
     channels=8,
@@ -68,16 +71,18 @@ def correlated_patterns(
     Channels 2-4 share a class-specific fraction of channel 1's signal; all
     marginal distributions are standard normal for every class, so
     single-channel statistics carry no class signal while the upper-limb
-    channel-pair correlations do.
+    channel-pair correlations do. One recording of per_class trials per
+    class, all from subject 1.
     """
     rng = np.random.default_rng(seed)
-    patterns = []
+    recordings = []
     for c, level in enumerate(levels, start=1):
         mix = np.sqrt(1.0 - level * level)
-        for t in range(1, per_class + 1):
-            X = rng.standard_normal((channels, samples))
+        trials = np.empty((per_class, channels, samples))
+        for X in trials:
+            X[:] = rng.standard_normal((channels, samples))
             base = X[0].copy()
             for ch in (1, 2, 3):
                 X[ch] = level * base + mix * rng.standard_normal(samples)
-            patterns.append(Pattern(X, label=c, subject_id=1, trial_index=t))
-    return patterns
+        recordings.append(Recording(trials, subject_id=1, action_label=c))
+    return recordings

@@ -274,6 +274,34 @@ class TestEval:
         assert f"{bad}:4: non-finite value {float(cell)!r} in column {rows[0][40]!r}" in err
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize(
+        "column, cell, problem",
+        [
+            (40, "abc", "non-numeric"),
+            (0, "", "non-numeric"),
+            (-3, "x", "non-integer"),
+            (-2, "1.5", "non-integer"),
+            (-1, "x", "non-integer"),
+        ],
+    )
+    def test_non_numeric_cell_rejected(self, workspace, tmp_path, capsys, column, cell, problem):
+        rows = rows_of(workspace["features"])
+        rows[3][column] = cell
+        bad = tmp_path / "features.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        rc = main([
+            "eval",
+            "--config", str(workspace["config"]),
+            "--features", str(bad),
+            "--selected", "all",
+            "--out", str(tmp_path / "eval"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:4: {problem} value {cell!r} in column {rows[0][column]!r}" in err
+        assert not (tmp_path / "eval").exists()
+
     def test_byte_identical_across_blas_threads(self, tmp_path):
         # Large enough that OpenBLAS splits the distance matmuls across threads.
         X, y = blobs(n_per_class=100, n_classes=4, dim=40, spread=2.0, separation=0.5, seed=3)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from emgactions.dataset import Pattern
 from emgactions.features.crosschannel import (
     DEFAULT_PAIRS,
     BadPairError,
@@ -91,22 +90,20 @@ def test_default_pairs_cover_both_limb_groups():
 def test_compute_ics_identical_channels():
     rng = np.random.default_rng(4)
     row = rng.normal(0, 1, 64)
-    pattern = Pattern(np.tile(row, (8, 1)), label=1, subject_id=1, trial_index=1)
-    values = compute_ics(pattern)
+    values = compute_ics(np.tile(row, (8, 1)))
     assert values.shape == (12,)
     assert np.allclose(values, values[0])
 
 
 def test_compute_ics_bad_pair():
-    pattern = Pattern(np.zeros((8, 16)), label=1, subject_id=1, trial_index=1)
     with pytest.raises(BadPairError):
-        compute_ics(pattern, pairs=[(0, 9)])
+        compute_ics(np.zeros((8, 16)), pairs=[(0, 9)])
 
 
 def test_compute_ics_segment_averaging():
     rng = np.random.default_rng(5)
-    pattern = Pattern(rng.normal(0, 1, (2, 40)), label=1, subject_id=1, trial_index=1)
-    whole = compute_ics(pattern, pairs=[(1, 2)], window=20)[0]
-    first = ics_max_xcorr(pattern.channels[0][:20], pattern.channels[1][:20])
-    second = ics_max_xcorr(pattern.channels[0][20:], pattern.channels[1][20:])
+    trial = rng.normal(0, 1, (2, 40))
+    whole = compute_ics(trial, pairs=[(1, 2)], window=20)[0]
+    first = ics_max_xcorr(trial[0][:20], trial[1][:20])
+    second = ics_max_xcorr(trial[0][20:], trial[1][20:])
     assert whole == pytest.approx((first + second) / 2, rel=1e-12)

@@ -22,16 +22,15 @@ from emgactions.dataset import (
     scan_action_tree,
     segment_channel,
     split_trials,
-    window_samples,
 )
 
 
 def test_parse_tab_separated_integers_bit_exact():
     text = "1\t2\t3\t4\t5\t6\t7\t8\n9\t10\t11\t12\t13\t14\t15\t16\n0\t0\t0\t0\t0\t0\t0\t-1\n"
-    rec = parse_recording(text, 8)
-    assert rec.samples.shape == (3, 8)
-    assert rec.samples[0, 0] == 1.0 and rec.samples[1, 7] == 16.0
-    assert rec.samples[2, 7] == -1.0
+    samples = parse_recording(text, 8)
+    assert samples.shape == (3, 8)
+    assert samples[0, 0] == 1.0 and samples[1, 7] == 16.0
+    assert samples[2, 7] == -1.0
 
 
 def test_parse_field_count_mismatch_reports_line():
@@ -91,7 +90,7 @@ def test_bulk_parse_equals_line_parser(data, sep, fmt, blank_lines):
         lines = [x for line in lines for x in (line, "  ")]
     slow = dataset._parse_lines(lines, data.shape[1])
     with mock.patch.object(dataset, "_parse_lines", side_effect=AssertionError("fell back")):
-        fast = parse_recording("\n".join(lines) + "\n", data.shape[1]).samples
+        fast = parse_recording("\n".join(lines) + "\n", data.shape[1])
     assert np.array_equal(fast, slow)
     assert np.array_equal(slow, [[float(fmt(float(v))) for v in row] for row in data])
 
@@ -109,36 +108,35 @@ def test_parse_large_generated_file_round_trip(tmp_path):
         for row in data:
             fh.write("\t".join(str(v) for v in row) + "\n")
     with open(path) as fh:
-        rec = parse_recording(fh, 8)
-    assert rec.samples.shape == (9999, 8)
-    assert np.array_equal(rec.samples, data.astype(float))
+        samples = parse_recording(fh, 8)
+    assert samples.shape == (9999, 8)
+    assert np.array_equal(samples, data.astype(float))
 
 
 def test_split_trials_standard_layout():
-    rec = parse_recording(
-        "\n".join(" ".join("0" for _ in range(8)) for _ in range(10000)),
+    samples = parse_recording(
+        "\n".join(" ".join(str(c) for c in range(8)) for _ in range(10000)),
         8,
     )
-    patterns = split_trials(rec, 15)
-    assert len(patterns) == 15
-    assert all(p.n_samples == 666 for p in patterns)
-    assert [p.trial_index for p in patterns] == list(range(1, 16))
+    trials = split_trials(samples, 15)
+    assert trials.shape == (15, 8, 666)
+    assert trials.flags.c_contiguous
+    assert np.array_equal(trials[:, :, 0], np.tile(np.arange(8.0), (15, 1)))
 
 
 def test_split_trials_even_and_floor():
-    rec = parse_recording("\n".join(str(i) for i in range(10)), 1)
-    twos = split_trials(rec, 2)
-    assert len(twos) == 2 and all(p.n_samples == 5 for p in twos)
-    threes = split_trials(rec, 3)
-    assert len(threes) == 3 and all(p.n_samples == 3 for p in threes)
+    samples = parse_recording("\n".join(str(i) for i in range(10)), 1)
+    assert split_trials(samples, 2).shape == (2, 1, 5)
+    threes = split_trials(samples, 3)
+    assert threes.shape == (3, 1, 3)
     # sample 10 is dropped by the floor rule
-    assert threes[-1].channels[0, -1] == 8.0
+    assert threes[-1, 0, -1] == 8.0
 
 
 def test_split_trials_too_short():
-    rec = parse_recording("1\n2\n", 1)
+    samples = parse_recording("1\n2\n", 1)
     with pytest.raises(TooShortError):
-        split_trials(rec, 3)
+        split_trials(samples, 3)
 
 
 def test_split_trials_concatenation_reproduces_prefix():
@@ -148,13 +146,14 @@ def test_split_trials_concatenation_reproduces_prefix():
         m = int(rng.integers(1, 5))
         r = int(rng.integers(1, min(n_total, 7) + 1))
         samples = rng.normal(0, 1, (n_total, m))
-        rec = parse_recording(
+        parsed = parse_recording(
             "\n".join(" ".join(repr(float(v)) for v in row) for row in samples),
             m,
         )
-        patterns = split_trials(rec, r)
+        trials = split_trials(parsed, r)
         n = n_total // r
-        rebuilt = np.concatenate([p.channels for p in patterns], axis=1)
+        assert trials.shape == (r, m, n)
+        rebuilt = np.concatenate(list(trials), axis=1)
         assert np.array_equal(rebuilt, samples[: r * n].T)
 
 
@@ -203,14 +202,6 @@ def test_segment_channel_batches_leading_axes():
         assert np.array_equal(segs[p, m, w], segment_channel(x[p, m], 5)[w])
 
 
-def test_window_samples_from_rate():
-    assert window_samples(1000.0, 200.0) == 200
-    assert window_samples(500.0, 200.0) == 100
-    assert window_samples(10.0, 1.0) == 1  # floors at one sample
-    with pytest.raises(ValueError):
-        window_samples(0.0)
-
-
 def _write_recording(path, rows, channels, rng):
     data = rng.integers(-100, 100, (rows, channels))
     with open(path, "w") as fh:
@@ -235,10 +226,9 @@ def test_manifest_round_trip_and_load(tmp_path):
     assert manifest.trials_per_file == 15
     assert manifest.channels == 4
     assert manifest.entries == [ManifestEntry("a.txt", 1, 2)]
-    patterns = load_dataset(manifest)
-    assert len(patterns) == 15
-    assert all(p.label == 2 and p.subject_id == 1 for p in patterns)
-    assert all(p.n_samples == 2 for p in patterns)
+    (rec,) = load_dataset(manifest)
+    assert rec.action_label == 2 and rec.subject_id == 1
+    assert rec.trials.shape == (15, 4, 2)
 
 
 def test_load_dataset_uniform_label_histogram(tmp_path):
@@ -250,9 +240,14 @@ def test_load_dataset_uniform_label_histogram(tmp_path):
             _write_recording(tmp_path / name, 12, 2, rng)
             entries.append(ManifestEntry(name, subject, label))
     manifest = DatasetManifest(root=str(tmp_path), entries=entries, trials_per_file=4, channels=2)
-    patterns = load_dataset(manifest)
-    assert len(patterns) == 2 * 3 * 4
-    labels, counts = np.unique([p.label for p in patterns], return_counts=True)
+    recordings = load_dataset(manifest)
+    assert [(rec.subject_id, rec.action_label) for rec in recordings] == [
+        (s, a) for s in (1, 2) for a in (1, 2, 3)
+    ]
+    assert all(rec.trials.shape == (4, 2, 3) for rec in recordings)
+    labels, counts = np.unique(
+        [rec.action_label for rec in recordings for _ in rec.trials], return_counts=True
+    )
     assert list(labels) == [1, 2, 3]
     assert all(c == 8 for c in counts)  # R * S per class
 
@@ -278,8 +273,51 @@ def test_load_dataset_parse_error_names_file(tmp_path):
     )
     with pytest.raises(MalformedLineError) as exc:
         load_dataset(manifest)
-    assert "bad.txt" in str(exc.value)
+    assert str(exc.value) == f"{tmp_path / 'bad.txt'}: line 2: expected 2 fields, got 3"
     assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("\n\n", EmptyRecordingError, "no data lines"),
+        ("1 2\n" * 10, TooShortError, "10 samples cannot supply 15 non-empty trials"),
+    ],
+    ids=["empty", "too_short"],
+)
+def test_load_dataset_recording_error_names_file(tmp_path, text, error, message):
+    (tmp_path / "bad.txt").write_text(text)
+    manifest = DatasetManifest(
+        root=str(tmp_path),
+        entries=[ManifestEntry("bad.txt", 1, 1)],
+        trials_per_file=15,
+        channels=2,
+    )
+    with pytest.raises(error) as exc:
+        load_dataset(manifest)
+    assert str(exc.value).startswith(f"{tmp_path / 'bad.txt'}: {message}")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("trials = fifteen", "trials must be an integer >= 1, got 'fifteen'"),
+        ("trials = 0", "trials must be an integer >= 1, got '0'"),
+        ("channels = 0", "channels must be an integer >= 1, got '0'"),
+        ("channels = -3", "channels must be an integer >= 1, got '-3'"),
+        ("channels = 8.5", "channels must be an integer >= 1, got '8.5'"),
+        ("entry = a.txt one 1", "entry needs '<path> <int subject> <int label>'"),
+        ("entry = a.txt 1 x", "entry needs '<path> <int subject> <int label>'"),
+        ("entry = a.txt 1 -2", "entry needs '<path> <int subject> <int label>'"),
+        ("entry = a.txt 1", "entry needs '<path> <int subject> <int label>'"),
+    ],
+)
+def test_read_manifest_bad_value_names_line(tmp_path, line, message):
+    path = tmp_path / "m.txt"
+    path.write_text(f"# header\n{line}\n")
+    with pytest.raises(ValueError) as exc:
+        read_manifest(str(path))
+    assert str(exc.value) == f"{path}:2: {message}"
 
 
 def test_manifest_duplicate_entries_rejected():
@@ -316,8 +354,8 @@ def test_scan_action_tree(tmp_path):
     assert len(manifest.entries) == 6
     assert [e.subject_id for e in manifest.entries] == [1, 1, 1, 2, 2, 2]
     assert {e.action_label for e in manifest.entries} == {1, 2, 19}
-    patterns = load_dataset(manifest)
-    assert len(patterns) == 30
+    recordings = load_dataset(manifest)
+    assert [rec.trials.shape for rec in recordings] == [(5, 8, 2)] * 6
 
 
 def test_scan_action_tree_missing_root(tmp_path):

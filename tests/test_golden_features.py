@@ -1,7 +1,7 @@
 """Feature matrices frozen from a small seeded corpus.
 
 ``tests/data/golden_features_<name>.csv`` holds ``extract_feature_matrix``
-output for the patterns below, one row per pattern: the feature columns, then
+output for the recordings below, one row per trial: the feature columns, then
 label, subject id and trial index. The files were written by the
 per-segment implementation that preceded the array-shaped one, so any
 numerical drift of a rewrite shows here. Rebuild them only when the features
@@ -17,7 +17,7 @@ import pytest
 
 from emgactions.features.assemble import FeatureConfig, extract_feature_matrix
 
-from ._synth import action_patterns, correlated_patterns
+from ._synth import action_recordings, correlated_recordings
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 # Allowed drift, relative to each column's largest frozen magnitude.
@@ -26,11 +26,11 @@ RTOL = 1e-10
 CONFIGS = {"full": FeatureConfig(), "window64": FeatureConfig(window=64)}
 
 
-def golden_patterns():
-    """Two recordings' worth of trials of different lengths, in one sequence."""
-    return action_patterns(n_classes=3, per_class=2, samples=200, seed=4) + correlated_patterns(
-        levels=(0.3, 0.9), per_class=2, samples=150, seed=5
-    )
+def golden_recordings():
+    """Five recordings of two trials each, with trials of two lengths."""
+    return action_recordings(
+        n_classes=3, per_class=2, samples=200, seed=4
+    ) + correlated_recordings(levels=(0.3, 0.9), per_class=2, samples=150, seed=5)
 
 
 def _path(name):
@@ -38,7 +38,7 @@ def _path(name):
 
 
 def _matrix(config):
-    X, y, subjects, trials = extract_feature_matrix(golden_patterns(), config)
+    X, y, subjects, trials = extract_feature_matrix(golden_recordings(), config)
     return np.column_stack([X, y, subjects, trials])
 
 

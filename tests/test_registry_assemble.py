@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emgactions.dataset import Pattern
+from emgactions.dataset import Recording
 from emgactions.features.assemble import (
     FeatureConfig,
     assemble_features,
@@ -14,14 +14,8 @@ from emgactions.features.localbinary import WindowTooLongError
 from emgactions.features.registry import BadIndexError, build_registry
 
 
-def make_pattern(seed=0, channels=8, samples=64, label=1):
-    rng = np.random.default_rng(seed)
-    return Pattern(
-        channels=rng.normal(0, 100, (channels, samples)),
-        label=label,
-        subject_id=1,
-        trial_index=0,
-    )
+def make_trial(seed=0, channels=8, samples=64):
+    return np.random.default_rng(seed).normal(0, 100, (channels, samples))
 
 
 class TestRegistry:
@@ -112,20 +106,19 @@ class TestRegistry:
 class TestAssemble:
     def test_vector_length_matches_registry(self):
         cfg = FeatureConfig()
-        vec = assemble_features(make_pattern(), cfg)
+        vec = assemble_features(make_trial(), cfg)
         assert vec.shape == (len(registry_for(cfg)),)
         assert np.all(np.isfinite(vec))
 
     def test_deterministic(self):
         cfg = FeatureConfig()
-        a = assemble_features(make_pattern(seed=5), cfg)
-        b = assemble_features(make_pattern(seed=5), cfg)
+        a = assemble_features(make_trial(seed=5), cfg)
+        b = assemble_features(make_trial(seed=5), cfg)
         assert np.array_equal(a, b)
 
     def test_all_zero_pattern_finite(self):
         cfg = FeatureConfig()
-        pat = Pattern(channels=np.zeros((8, 32)), label=2, subject_id=1, trial_index=0)
-        vec = assemble_features(pat, cfg)
+        vec = assemble_features(np.zeros((8, 32)), cfg)
         assert np.all(np.isfinite(vec))
         reg = registry_for(cfg)
         tds_vals = vec[np.array(reg.modality_indices("tds")) - 1]
@@ -137,29 +130,24 @@ class TestAssemble:
         from emgactions.features.timedomain import tds
 
         cfg = FeatureConfig()
-        pat = make_pattern(seed=3)
-        vec = assemble_features(pat, cfg)
+        trial = make_trial(seed=3)
+        vec = assemble_features(trial, cfg)
         reg = registry_for(cfg)
-        assert np.allclose(vec[0:4], tds(pat.channels[0]))
-        assert np.allclose(vec[28:32], tds(pat.channels[7]))
+        assert np.allclose(vec[0:4], tds(trial[0]))
+        assert np.allclose(vec[28:32], tds(trial[7]))
         ics_lo = reg.modality_indices("ics")[0] - 1
-        assert np.allclose(vec[ics_lo : ics_lo + 12], compute_ics(pat))
+        assert np.allclose(vec[ics_lo : ics_lo + 12], compute_ics(trial))
         lbp_lo = reg.modality_indices("lbp")[0] - 1
-        assert np.allclose(vec[lbp_lo : lbp_lo + 2], lbp_features(pat.channels[0]))
+        assert np.allclose(vec[lbp_lo : lbp_lo + 2], lbp_features(trial[0]))
 
     def test_channel_swap_permutes_blocks(self):
         # swapping channels 1 and 2 swaps their per-channel blocks and, because
         # the pair list is closed under that swap, permutes the ics block
         cfg = FeatureConfig()
-        pat = make_pattern(seed=9)
-        swapped = Pattern(
-            channels=pat.channels[[1, 0, 2, 3, 4, 5, 6, 7]],
-            label=pat.label,
-            subject_id=pat.subject_id,
-            trial_index=pat.trial_index,
-        )
+        trial = make_trial(seed=9)
+        swapped = trial[[1, 0, 2, 3, 4, 5, 6, 7]]
         reg = registry_for(cfg)
-        a = assemble_features(pat, cfg)
+        a = assemble_features(trial, cfg)
         b = assemble_features(swapped, cfg)
 
         def block(vals, mod, ch):
@@ -182,31 +170,27 @@ class TestAssemble:
     def test_windowed_average_equals_mean_of_halves(self):
         cfg_full = FeatureConfig()
         cfg_win = FeatureConfig(window=40)
-        pat = make_pattern(seed=13, samples=80)
-        first = Pattern(pat.channels[:, :40], pat.label, pat.subject_id, pat.trial_index)
-        second = Pattern(pat.channels[:, 40:], pat.label, pat.subject_id, pat.trial_index)
-        averaged = assemble_features(pat, cfg_win)
+        trial = make_trial(seed=13, samples=80)
+        averaged = assemble_features(trial, cfg_win)
         halves = 0.5 * (
-            assemble_features(first, cfg_full)
-            + assemble_features(second, cfg_full)
+            assemble_features(trial[:, :40], cfg_full)
+            + assemble_features(trial[:, 40:], cfg_full)
         )
         assert np.allclose(averaged, halves, rtol=1e-10, atol=1e-10)
 
     def test_error_carries_channel_context(self):
         cfg = FeatureConfig()
-        pat = Pattern(channels=np.ones((8, 7)), label=1, subject_id=1, trial_index=0)
         with pytest.raises(WindowTooLongError, match="channel 1 lbp"):
-            assemble_features(pat, cfg)
+            assemble_features(np.ones((8, 7)), cfg)
 
     def test_error_names_subject_action_trial_channel(self, monkeypatch):
         # one all-zero channel fits a zero-noise AR model; a stand-in ar_psd
         # fails on exactly that model, as a near-unstable fit would
         from emgactions.features import assemble
 
-        pats = [make_pattern(seed=t, label=12) for t in range(4)]
-        for t, pat in enumerate(pats, start=1):
-            pat.subject_id, pat.trial_index = 3, t
-        pats[2].channels[5] = 0.0
+        trials = np.stack([make_trial(seed=t) for t in range(4)])
+        trials[2, 5] = 0.0
+        recordings = [Recording(trials[:1], 1, 1), Recording(trials, 3, 12)]
         real = assemble.ar_psd
 
         def ar_psd(model, grid_size=100):
@@ -216,7 +200,7 @@ class TestAssemble:
 
         monkeypatch.setattr(assemble, "ar_psd", ar_psd)
         with pytest.raises(PoleOnGridError) as exc:
-            extract_feature_matrix(pats, FeatureConfig())
+            extract_feature_matrix(recordings, FeatureConfig())
         assert str(exc.value) == (
             "subject 3 action 12 trial 3 channel 6 sbp: "
             "AR denominator vanished on the frequency grid"
@@ -224,10 +208,12 @@ class TestAssemble:
 
     def test_extract_feature_matrix_shapes(self):
         cfg = FeatureConfig()
-        pats = [make_pattern(seed=s, label=s % 3 + 1) for s in range(6)]
-        X, y, subjects, trials = extract_feature_matrix(pats, cfg)
+        blocks = [np.stack([make_trial(seed=3 * r + t) for t in range(3)]) for r in range(2)]
+        recordings = [Recording(blocks[0], 1, 2), Recording(blocks[1], 4, 3)]
+        X, y, subjects, trials = extract_feature_matrix(recordings, cfg)
         assert X.shape == (6, 276)
-        assert y.tolist() == [1, 2, 3, 1, 2, 3]
-        assert subjects.shape == (6,)
-        assert trials.shape == (6,)
-        assert np.allclose(X[2], assemble_features(pats[2], cfg))
+        assert y.tolist() == [2, 2, 2, 3, 3, 3]
+        assert subjects.tolist() == [1, 1, 1, 4, 4, 4]
+        assert trials.tolist() == [1, 2, 3, 1, 2, 3]
+        assert np.allclose(X[4], assemble_features(blocks[1][1], cfg))
+        assert np.array_equal(X[3:], assemble_features(blocks[1], cfg))
