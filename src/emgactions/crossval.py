@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from emgactions.metrics import accuracy, confusion_matrix, kappa
-from emgactions.pnn import DEFAULT_SIGMA_GRID, EmptyClassWarning, PnnConfig, fit_pnn
+from emgactions.pnn import DEFAULT_SIGMA_GRID, EmptyClassWarning, PnnConfig, check_sigma, fit_pnn
 
 
 class TooFewSamplesError(ValueError):
@@ -90,6 +90,26 @@ def stratified_folds(y, k: int, seed: int) -> np.ndarray:
     return assignment
 
 
+def kfold_assignment(y, k: int, seed: int) -> np.ndarray:
+    """stratified_folds for a k-fold evaluation, which tests every sample once.
+
+    Raises:
+        ValueError: k < 2.
+        TooFewSamplesError: some class has fewer than k samples, so some
+            fold would lack it.
+    """
+    y = np.asarray(y, dtype=int)
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    ids, counts = np.unique(y, return_counts=True)
+    if counts.min() < k:
+        lacking = ids[counts.argmin()]
+        raise TooFewSamplesError(
+            f"class {lacking} has {counts.min()} samples, fewer than k={k}"
+        )
+    return stratified_folds(y, k, seed)
+
+
 def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -> float:
     """Pick the kernel width maximizing internal cross-validated accuracy.
 
@@ -99,8 +119,9 @@ def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -
 
     Raises:
         EmptyGridError: no candidates.
+        NonPositiveSigmaError: a candidate is not finite and > 0.
     """
-    grid = sorted(float(s) for s in grid)
+    grid = sorted(check_sigma(s) for s in grid)
     if not grid:
         raise EmptyGridError("sigma grid is empty")
     if folds < 2:
@@ -149,16 +170,8 @@ def kfold_cv(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    ids, counts = np.unique(y, return_counts=True)
-    if counts.min() < k:
-        lacking = ids[counts.argmin()]
-        raise TooFewSamplesError(
-            f"class {lacking} has {counts.min()} samples, fewer than k={k}"
-        )
+    assignment = kfold_assignment(y, k, seed)
     C = int(n_classes) if n_classes is not None else int(y.max())
-    assignment = stratified_folds(y, k, seed)
     cm = np.zeros((C, C), dtype=int)
     for f in range(k):
         test = assignment == f

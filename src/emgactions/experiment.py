@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -82,27 +83,54 @@ def _parse_pairs(value: str) -> tuple:
 
 
 def _parse_grid(value: str) -> tuple:
-    grid = tuple(float(v) for v in value.replace(";", ",").split(",") if v.strip())
+    parts = (v.strip() for v in value.replace(";", ",").split(","))
+    grid = tuple(_sigma("sigma_grid entry", v) for v in parts if v)
     if not grid:
         raise ValueError("empty sigma grid")
     return grid
 
 
+def _sigma(what: str, value: str) -> float:
+    # NaN, inf or a width <= 0 would label every pattern with one class.
+    try:
+        sigma = float(value)
+    except ValueError:
+        sigma = math.nan
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"{what} must be a finite number > 0, got {value!r}")
+    return sigma
+
+
+# Each integer key with the smallest value its consuming code accepts
+# (None: any integer).
 _INT_KEYS = {
-    "channels",
-    "ar_order",
-    "psd_grid",
-    "n_bands",
-    "lbp_window",
-    "lbp_threshold",
-    "selection_folds",
-    "cv_folds",
-    "runs",
-    "seed",
-    "max_features",
-    "patience",
-    "sfs_folds",
+    "channels": 1,
+    "window": 1,
+    "ar_order": 1,
+    "psd_grid": 1,
+    "n_bands": 1,
+    "lbp_window": 1,
+    "lbp_threshold": None,
+    "selection_folds": 2,
+    "cv_folds": 2,
+    "runs": 1,
+    "seed": 0,
+    "max_features": 1,
+    "patience": 1,
+    "sfs_folds": 2,
 }
+
+
+def _integer(key: str, value: str) -> int:
+    low = _INT_KEYS[key]
+    try:
+        number = int(value)
+    except ValueError:
+        number = None
+    if number is None or (low is not None and number < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{key} must be an integer{bound}, got {value!r}")
+    return number
 
 
 def read_config(path: str) -> ExperimentConfig:
@@ -137,15 +165,15 @@ def _apply_key(cfg: ExperimentConfig, key: str, value: str, base: str) -> Experi
         resolved = value if os.path.isabs(value) else os.path.join(base, value)
         return replace(cfg, **{key: resolved})
     if key == "window":
-        return replace(cfg, window=None if value.lower() == "full" else int(value))
+        return replace(cfg, window=None if value.lower() == "full" else _integer(key, value))
     if key == "sigma":
-        return replace(cfg, sigma=None if value.lower() == "auto" else float(value))
+        return replace(cfg, sigma=None if value.lower() == "auto" else _sigma(key, value))
     if key == "sfs_sigma":
-        return replace(cfg, sfs_sigma=float(value))
+        return replace(cfg, sfs_sigma=_sigma(key, value))
     if key == "pairs":
         return replace(cfg, pairs=_parse_pairs(value))
     if key == "sigma_grid":
         return replace(cfg, sigma_grid=_parse_grid(value))
     if key in _INT_KEYS:
-        return replace(cfg, **{key: int(value)})
+        return replace(cfg, **{key: _integer(key, value)})
     raise ValueError(f"unknown key {key!r}")

@@ -7,6 +7,7 @@ rows use '\\n' line endings so repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import warnings
 
 import numpy as np
 
@@ -31,6 +32,10 @@ def write_feature_csv(path: str, X, y, subjects, trials, registry: FeatureRegist
 def read_feature_csv(path: str):
     """Read a matrix written by write_feature_csv.
 
+    The data rows are parsed by one bulk numpy parse. Only when that fails,
+    finds no row or yields a NaN or infinite value is the file read again
+    row by row, to name the offending line and cell.
+
     Returns:
         (X, y, subjects, trials, names) with names covering the feature
         columns only.
@@ -43,12 +48,43 @@ def read_feature_csv(path: str):
             a bad cell.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = _read_header(csv.reader(fh), path)
+        names = header[:-3]
+        dtype = np.dtype([("X", float, (len(names),))] + [(c, int) for c in META_COLUMNS])
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                # Older numpy parses an integer field such as '1.0' with only
+                # a DeprecationWarning; the row reader rejects it.
+                warnings.simplefilter("error", DeprecationWarning)
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            rows = None
+    if rows is None or rows.size == 0 or not np.isfinite(rows["X"]).all():
+        return _read_lines(path)
+    return (
+        np.ascontiguousarray(rows["X"]),
+        rows["label"].copy(),
+        rows["subject_id"].copy(),
+        rows["trial_index"].copy(),
+        names,
+    )
+
+
+def _read_header(reader, path: str) -> list:
+    header = next(reader, None)
+    if header is None or len(header) < len(META_COLUMNS) + 1:
+        raise ValueError(f"{path}: missing or too-short header")
+    if tuple(header[-3:]) != META_COLUMNS:
+        raise ValueError(f"{path}: expected trailing columns {META_COLUMNS}")
+    return header
+
+
+def _read_lines(path: str):
+    # The reference reader: slow, but it names the first bad line and cell.
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < len(META_COLUMNS) + 1:
-            raise ValueError(f"{path}: missing or too-short header")
-        if tuple(header[-3:]) != META_COLUMNS:
-            raise ValueError(f"{path}: expected trailing columns {META_COLUMNS}")
+        header = _read_header(reader, path)
         names = header[:-3]
         rows, labels, subjects, trials, line_nos = [], [], [], [], []
         for line_no, row in enumerate(reader, start=2):

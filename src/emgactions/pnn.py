@@ -18,7 +18,7 @@ DEFAULT_SIGMA_GRID = (0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0, 1.5)
 
 
 class NonPositiveSigmaError(ValueError):
-    """Kernel width must be strictly positive."""
+    """Kernel width must be finite and strictly positive."""
 
 
 class DimensionMismatchError(ValueError):
@@ -80,7 +80,7 @@ class PnnModel:
             so each class's rows are contiguous and keep their training order.
         class_ids: ascending class ids that have exemplars.
         counts: exemplar count per entry of class_ids.
-        sigma: Gaussian kernel width (> 0).
+        sigma: Gaussian kernel width, finite and > 0.
         priors: prior probability per class id in 1..n_classes, summing to 1.
         n_classes: label range size C.
     """
@@ -100,12 +100,9 @@ class PnnModel:
     def predict_batch(self, X):
         """Classify rows of X; returns (labels (n,), posteriors (n, C)).
 
-        Scores are prior_c * mean_i exp(-||x - x_i||^2 / (2 sigma^2)) on
-        normalized coordinates. Exponents are shifted by their per-row
-        maximum before exponentiation; the common factor cancels in the
-        normalization, so posteriors are unchanged while tiny sigmas stay
-        clear of underflow. If every score still underflows to 0 the
-        posterior falls back to uniform (label = smallest id).
+        Squared distances ||x - x_i||^2 on normalized coordinates are
+        expanded as |x|^2 + |x_i|^2 - 2 x.x_i, clamped at 0 and scored by
+        classify_distances.
 
         Raises:
             DimensionMismatchError: X is not (n, n_features).
@@ -126,21 +123,65 @@ class PnnModel:
         k += np.sum(Xn * Xn, axis=1)[:, np.newaxis]
         k += np.sum(E * E, axis=1)
         np.maximum(k, 0.0, out=k)
-        k *= -1.0 / (2.0 * self.sigma * self.sigma)
-        k -= k.max(axis=1, keepdims=True)
-        np.exp(k, out=k)
-        starts = np.cumsum(self.counts) - self.counts
-        kernel_mean = np.add.reduceat(k, starts, axis=1) / self.counts
-        n = X.shape[0]
-        scores = np.zeros((n, self.n_classes))
-        cols = self.class_ids - 1
-        scores[:, cols] = self.priors[cols] * kernel_mean
-        totals = scores.sum(axis=1)
-        posteriors = np.full((n, self.n_classes), 1.0 / self.n_classes)
-        ok = totals > 0.0
-        posteriors[ok] = scores[ok] / totals[ok, np.newaxis]
-        labels = np.where(ok, np.argmax(scores, axis=1) + 1, 1)
-        return labels.astype(int), posteriors
+        return classify_distances(
+            k, self.sigma, self.counts, self.class_ids, self.priors, self.n_classes
+        )
+
+
+def classify_distances(d2, sigma, counts, class_ids, priors, n_classes):
+    """Label queries from their squared distances to class-sorted exemplars.
+
+    The one classification kernel behind PnnModel.predict_batch and the SFS
+    criterion. Scores are prior_c * mean_i exp(-d2_i / (2 sigma^2)) over the
+    exemplars of class c. Exponents are shifted by their per-row maximum
+    before exponentiation; the common factor cancels in the normalization,
+    so posteriors are unchanged while tiny sigmas stay clear of underflow.
+    If every score still underflows to 0 the posterior falls back to
+    uniform (label = smallest id).
+
+    Args:
+        d2: (n, N) squared distances on normalized coordinates, columns in
+            exemplar order; overwritten.
+        sigma: kernel width.
+        counts: exemplar count per entry of class_ids, in column order.
+        class_ids: ascending class ids that have exemplars.
+        priors: prior per class id in 1..n_classes.
+        n_classes: label range size C.
+
+    Returns:
+        (labels (n,), posteriors (n, C)).
+    """
+    # Every step works in place on the one (n, N) buffer: a temporary per
+    # step pushes it out of cache and costs more than the arithmetic.
+    k = d2
+    k *= -1.0 / (2.0 * sigma * sigma)
+    k -= k.max(axis=1, keepdims=True)
+    np.exp(k, out=k)
+    starts = np.cumsum(counts) - counts
+    kernel_mean = np.add.reduceat(k, starts, axis=1) / counts
+    n = k.shape[0]
+    scores = np.zeros((n, n_classes))
+    cols = class_ids - 1
+    scores[:, cols] = priors[cols] * kernel_mean
+    totals = scores.sum(axis=1)
+    posteriors = np.full((n, n_classes), 1.0 / n_classes)
+    ok = totals > 0.0
+    posteriors[ok] = scores[ok] / totals[ok, np.newaxis]
+    labels = np.where(ok, np.argmax(scores, axis=1) + 1, 1)
+    return labels.astype(int), posteriors
+
+
+def check_sigma(sigma) -> float:
+    """Return sigma as a float.
+
+    Raises:
+        NonPositiveSigmaError: sigma is NaN, infinite or <= 0. Such a width
+            would label every query with the smallest class id.
+    """
+    sigma = float(sigma)
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise NonPositiveSigmaError(f"sigma must be finite and > 0, got {sigma}")
+    return sigma
 
 
 def _require_finite(X: np.ndarray, what: str) -> None:
@@ -156,12 +197,12 @@ def fit_pnn(X, y, sigma: float, priors=None, n_classes: int | None = None) -> Pn
     Args:
         X: (P, D) training matrix, nonempty and finite.
         y: labels in 1..C.
-        sigma: kernel width > 0.
+        sigma: kernel width, finite and > 0.
         priors: per-class priors over 1..C; default uniform.
         n_classes: C; default max(y).
 
     Raises:
-        NonPositiveSigmaError: sigma <= 0.
+        NonPositiveSigmaError: sigma is not finite and > 0.
         ValueError: X holds a NaN or infinite value, or the shapes or
             labels are invalid.
 
@@ -175,8 +216,7 @@ def fit_pnn(X, y, sigma: float, priors=None, n_classes: int | None = None) -> Pn
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y lengths differ")
     _require_finite(X, "training")
-    if sigma <= 0.0:
-        raise NonPositiveSigmaError(f"sigma must be > 0, got {sigma}")
+    sigma = check_sigma(sigma)
     if np.any(y < 1):
         raise ValueError("labels must be >= 1")
     C = int(n_classes) if n_classes is not None else int(y.max())
@@ -203,7 +243,7 @@ def fit_pnn(X, y, sigma: float, priors=None, n_classes: int | None = None) -> Pn
         exemplars=normalizer.transform(X[np.argsort(y, kind="stable")]),
         class_ids=class_ids,
         counts=per_class[class_ids - 1],
-        sigma=float(sigma),
+        sigma=sigma,
         priors=priors,
         n_classes=C,
     )

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from emgactions.crossval import MonteCarloResult, kfold_cv, monte_carlo
+from emgactions.crossval import MonteCarloResult, kfold_assignment, monte_carlo
+from emgactions.crossval import kfold_cv  # noqa: F401 - perfbench/tracing.py patches it here
 from emgactions.features.registry import BadIndexError, FeatureRegistry
 from emgactions.features.spectral import LMF_COUNT
 from emgactions.metrics import accuracy, confusion_matrix, kappa
-from emgactions.pnn import PnnConfig
+from emgactions.pnn import PnnConfig, classify_distances, fit_pnn
 
 
 class NoFeaturesError(ValueError):
@@ -58,19 +59,108 @@ def cv_accuracy_criterion(
     """Build the default SFS criterion: seeded k-fold CV accuracy.
 
     The returned callable maps a tuple of 1-based feature indices to the
-    pooled cross-validated accuracy of the classifier restricted to those
-    columns. The internal seed is fixed so candidate scores are comparable
-    within a selection run.
+    pooled k-fold accuracy of the classifier restricted to those columns,
+    ``kfold_cv(X[:, cols], y, k, config, seed).alpha``. The internal seed is
+    fixed so candidate scores are comparable within a selection run.
+
+    The folds, each fold's z-scoring statistics (fit on all of its training
+    columns) and its class-sorted exemplar order are built once. Z-scoring
+    is per column, so squared distances add up column by column: each fold
+    caches the summed squared distances of the prefix (every index but the
+    last) of the last call. A call whose prefix extends the cached one adds
+    the new columns to the cache, any other prefix is summed afresh, and
+    the candidate adds its own column. Memory: one float64 (n_test, n_train)
+    cache per fold and one buffer of that size shared by the folds.
+
+    The distances are summed directly as sum_j (x_j - e_j)^2 where
+    PnnModel.predict_batch expands them, and numpy sums a lone column
+    pairwise, so for one index the statistics can differ from kfold_cv's in
+    the last bit. A label can therefore differ from kfold_cv's only where
+    two class scores tie to rounding, as repeated discrete values can make
+    them.
+
+    Raises:
+        ValueError: config.sigma is None (the criterion needs a fixed
+            width), k < 2, or a value of X is NaN or infinite (named by its
+            row in a fold's training rows and its column).
+        NonPositiveSigmaError: sigma is not finite and > 0.
+        TooFewSamplesError: some class has fewer than k samples.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
+    if config.sigma is None:
+        raise ValueError("the selection criterion needs a fixed sigma")
+    assignment = kfold_assignment(y, k, seed)
+    C = int(y.max())
+    folds = [_Fold(X, y, assignment == f, config.sigma, C) for f in range(k)]
+    caches = [np.zeros(fold.shape) for fold in folds]
+    buffer = np.empty(max(cache.size for cache in caches))
+    cached: list[int] = []
 
     def criterion(indices) -> float:
-        cols = np.asarray(indices, dtype=int) - 1
-        report = kfold_cv(X[:, cols], y, k=k, config=config, seed=seed)
-        return report.alpha
+        nonlocal cached
+        cols = [int(i) - 1 for i in indices]
+        if not cols:
+            raise NoFeaturesError("no feature indices to score")
+        *prefix, last = cols
+        if prefix:
+            if prefix[: len(cached)] != cached:
+                cached = []
+                for cache in caches:
+                    cache.fill(0.0)
+            for c in prefix[len(cached) :]:
+                for fold, cache in zip(folds, caches):
+                    cache += fold.squared_differences(c, buffer)
+            cached = prefix
+        correct = 0
+        for fold, cache in zip(folds, caches):
+            d2 = fold.squared_differences(last, buffer)
+            if prefix:
+                d2 += cache
+            labels, _ = classify_distances(
+                d2, fold.sigma, fold.counts, fold.class_ids, fold.priors, C
+            )
+            correct += int(np.count_nonzero(labels == fold.y_test))
+        return correct / y.size
 
     return criterion
+
+
+class _Fold:
+    """One fold of the criterion: what fit_pnn fixes on its training rows.
+
+    Attributes:
+        shape: (n_test, n_train), the shape of its distance arrays, whose
+            columns follow the class-sorted exemplar order.
+    """
+
+    def __init__(self, X, y, test, sigma, n_classes):
+        train = np.flatnonzero(~test)
+        model = fit_pnn(X[train], y[train], sigma, n_classes=n_classes)
+        self.X = X
+        self.test = np.flatnonzero(test)
+        self.y_test = y[test]
+        self.exemplars = train[np.argsort(y[train], kind="stable")]
+        self.shape = (self.test.size, train.size)
+        self.mean = model.normalizer.mean
+        self.scale = model.normalizer.scale
+        self.sigma = model.sigma
+        self.priors = model.priors
+        self.class_ids = model.class_ids
+        self.counts = model.counts
+
+    def squared_differences(self, c: int, buffer) -> np.ndarray:
+        """(x_c - e_c)^2 for every (test row, exemplar) pair, in buffer.
+
+        Column c is z-scored as Normalizer.transform does.
+        """
+        mean, scale = self.mean[c], self.scale[c]
+        x = (self.X[self.test, c] - mean) / scale
+        e = (self.X[self.exemplars, c] - mean) / scale
+        out = buffer[: x.size * e.size].reshape(self.shape)
+        np.subtract(x[:, np.newaxis], e, out=out)
+        np.square(out, out=out)
+        return out
 
 
 def sfs(

@@ -378,6 +378,60 @@ class TestConfig:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("channels = 0", "channels must be an integer >= 1, got '0'"),
+            ("channels = eight", "channels must be an integer >= 1, got 'eight'"),
+            ("window = 0", "window must be an integer >= 1, got '0'"),
+            ("ar_order = 0", "ar_order must be an integer >= 1, got '0'"),
+            ("psd_grid = 0", "psd_grid must be an integer >= 1, got '0'"),
+            ("n_bands = -1", "n_bands must be an integer >= 1, got '-1'"),
+            ("lbp_window = 0", "lbp_window must be an integer >= 1, got '0'"),
+            ("lbp_threshold = 1.5", "lbp_threshold must be an integer, got '1.5'"),
+            ("selection_folds = 1", "selection_folds must be an integer >= 2, got '1'"),
+            ("cv_folds = 0", "cv_folds must be an integer >= 2, got '0'"),
+            ("sfs_folds = 1", "sfs_folds must be an integer >= 2, got '1'"),
+            ("runs = 0", "runs must be an integer >= 1, got '0'"),
+            ("seed = -1", "seed must be an integer >= 0, got '-1'"),
+            ("max_features = 0", "max_features must be an integer >= 1, got '0'"),
+            ("patience = 0", "patience must be an integer >= 1, got '0'"),
+            ("sigma = nan", "sigma must be a finite number > 0, got 'nan'"),
+            ("sigma = inf", "sigma must be a finite number > 0, got 'inf'"),
+            ("sigma = 0", "sigma must be a finite number > 0, got '0'"),
+            ("sfs_sigma = nan", "sfs_sigma must be a finite number > 0, got 'nan'"),
+            ("sfs_sigma = -0.3", "sfs_sigma must be a finite number > 0, got '-0.3'"),
+            ("sigma_grid = 0.1, inf", "sigma_grid entry must be a finite number > 0, got 'inf'"),
+            ("sigma_grid = 0.1; 0", "sigma_grid entry must be a finite number > 0, got '0'"),
+        ],
+    )
+    def test_bad_value_names_line(self, tmp_path, line, message):
+        from emgactions.experiment import read_config
+
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# header\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            read_config(str(cfg))
+        assert str(exc.value) == f"{cfg}:2: {message}"
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [("eval", "sigma = nan"), ("eval", "sigma = inf"), ("select", "sfs_sigma = nan")],
+    )
+    def test_non_finite_sigma_exits_2(self, workspace, tmp_path, capsys, command, line):
+        # Such a width labels every pattern class 1: a plausible-looking metric.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{line}\n")
+        rc = main([
+            command,
+            "--config", str(cfg),
+            "--features", str(workspace["features"]),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert f"error: {cfg}:1: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_window_and_sigma_words(self, tmp_path):
         from emgactions.experiment import read_config
 

@@ -1,0 +1,71 @@
+import csv
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from emgactions.features import export
+from emgactions.features.export import META_COLUMNS, read_feature_csv
+
+
+def write_rows(path, names, rows, blank_lines=False):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(names) + list(META_COLUMNS))
+        for row in rows:
+            writer.writerow(row)
+            if blank_lines:
+                fh.write("\n")
+
+
+def _integer_or_repr(v):
+    return str(int(v)) if v.is_integer() and abs(v) < 1e15 else repr(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arrays(
+        float,
+        st.tuples(st.integers(1, 12), st.integers(1, 6)),
+        elements=st.floats(allow_nan=False, allow_infinity=False)
+        | st.integers(-(10**6), 10**6).map(float),
+    ),
+    st.sampled_from([repr, _integer_or_repr, "{:.6e}".format]),
+    st.booleans(),
+    st.integers(0, 2**31),
+)
+def test_bulk_read_equals_row_reader(tmp_path_factory, X, fmt, blank_lines, seed):
+    rng = np.random.default_rng(seed)
+    meta = rng.integers(1, 1000, (X.shape[0], 3))
+    path = tmp_path_factory.mktemp("csv") / "features.csv"
+    names = [f"f{j}" for j in range(X.shape[1])]
+    write_rows(path, names, [[fmt(float(v)) for v in x] + list(m) for x, m in zip(X, meta)], blank_lines)
+    slow = export._read_lines(str(path))
+    with mock.patch.object(export, "_read_lines", side_effect=AssertionError("fell back")):
+        fast = read_feature_csv(str(path))
+    for a, b in zip(fast[:4], slow[:4]):
+        assert a.dtype == b.dtype
+        assert a.flags["C_CONTIGUOUS"]
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))  # bit for bit, -0.0 too
+    assert fast[4] == slow[4] == names
+    assert np.array_equal(slow[0], [[float(fmt(float(v))) for v in x] for x in X])
+    assert np.array_equal(slow[1:4], meta[:, [2, 0, 1]].T)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (["0.5", "1.5", "1", "2", "1.0"], "non-integer value '1.0' in column 'label'"),
+        (["0.5", "1.5", "1", "2", "1e0"], "non-integer value '1e0' in column 'label'"),
+        (["0.5", "1.5", "1", "2", "1", "7"], "expected 5 fields, got 6"),
+        (["0.5", "1", "2", "1"], "expected 5 fields, got 4"),
+    ],
+)
+def test_bulk_read_rejects_through_row_reader(tmp_path, row, message):
+    path = tmp_path / "features.csv"
+    write_rows(path, ["a", "b"], [["0.1", "0.2", "1", "1", "1"], row])
+    with pytest.raises(ValueError) as exc:
+        read_feature_csv(str(path))
+    assert str(exc.value) == f"{path}:3: {message}"

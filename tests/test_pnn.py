@@ -54,6 +54,13 @@ class TestFit:
             with pytest.raises(NonPositiveSigmaError):
                 fit_pnn(X, y, sigma=bad)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, bad):
+        # Either width labels every query with class 1 instead of failing.
+        X, y = blobs(n_per_class=3, seed=0)
+        with pytest.raises(NonPositiveSigmaError, match=f"sigma must be finite and > 0, got {bad}"):
+            fit_pnn(X, y, sigma=bad)
+
     def test_missing_class_warns(self):
         X = np.array([[0.0], [0.1], [5.0], [5.1]])
         y = np.array([1, 1, 3, 3])
@@ -179,6 +186,12 @@ class TestSigmaSelection:
         X, y = blobs(n_per_class=5, seed=13)
         with pytest.raises(EmptyGridError):
             select_sigma(X, y, ())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_bad_grid_entry_rejected(self, bad):
+        X, y = blobs(n_per_class=10, seed=11)
+        with pytest.raises(NonPositiveSigmaError):
+            select_sigma(X, y, (0.3, bad))
 
     def test_default_grid_is_ascending(self):
         assert list(DEFAULT_SIGMA_GRID) == sorted(DEFAULT_SIGMA_GRID)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from emgactions.crossval import monte_carlo
+from emgactions.crossval import TooFewSamplesError, kfold_cv, monte_carlo
 from emgactions.features.registry import BadIndexError, build_registry
-from emgactions.pnn import PnnConfig
+from emgactions.pnn import NonPositiveSigmaError, PnnConfig
 from emgactions.selection import (
     ChannelUnusedWarning,
     NoFeaturesError,
@@ -14,6 +14,8 @@ from emgactions.selection import (
     reference_selection,
     sfs,
 )
+
+from ._synth import blobs
 
 FIXED = PnnConfig(sigma=0.3)
 
@@ -39,6 +41,73 @@ class TestCriterion:
         X, y = labeled_noise(n_cols=4, informative=(0,), seed=2)
         crit = cv_accuracy_criterion(X, y, k=3, config=FIXED, seed=0)
         assert crit((1, 3)) == crit((1, 3))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_equals_kfold_cv_on_random_call_sequences(self, k):
+        # Continuous, discrete-valued (ties between exemplar distances) and
+        # constant columns; calls that extend the last prefix, repeat it or
+        # jump to an unrelated one exercise the cache's grow and rebuild paths.
+        rng = np.random.default_rng(20 + k)
+        X, y = blobs(n_per_class=12, n_classes=3, dim=4, spread=1.5, separation=1.0, seed=k)
+        X = np.hstack([X, rng.integers(0, 3, (y.size, 3)).astype(float), np.full((y.size, 1), 0.1)])
+        d = X.shape[1]
+        crit = cv_accuracy_criterion(X, y, k=k, config=FIXED, seed=5)
+        selected = []
+        for _ in range(60):
+            move = rng.integers(4)
+            if move == 0 or len(selected) == d:
+                selected = list(rng.permutation(np.arange(1, d + 1))[: rng.integers(0, d)])
+            elif move == 1:
+                selected.append(int(rng.choice([i for i in range(1, d + 1) if i not in selected])))
+            candidate = int(rng.choice([i for i in range(1, d + 1) if i not in selected] or [1]))
+            cols = tuple(selected) + (candidate,)
+            expected = kfold_cv(X[:, np.array(cols) - 1], y, k=k, config=FIXED, seed=5).alpha
+            assert crit(cols) == expected, cols
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_xor_bits_equal_kfold_cv(self, k):
+        bits = np.array([(a, b, a) for a in (0, 1) for b in (0, 1)] * 9, dtype=float)
+        y = 1 + (bits[:, 0] != bits[:, 1]).astype(int)
+        config = PnnConfig(sigma=0.5)
+        crit = cv_accuracy_criterion(bits, y, k=k, config=config, seed=1)
+        for cols in [(1,), (2,), (3,), (1, 2), (1, 3), (2, 1), (2, 3), (1, 2, 3), (3, 2, 1)]:
+            expected = kfold_cv(bits[:, np.array(cols) - 1], y, k=k, config=config, seed=1).alpha
+            assert crit(cols) == expected, cols
+
+    def test_sfs_trace_equals_kfold_cv_trace(self):
+        X, y = blobs(n_per_class=15, n_classes=4, dim=10, spread=2.0, separation=1.0, seed=23)
+
+        def reference(cols):
+            return kfold_cv(X[:, np.array(cols) - 1], y, k=3, config=FIXED, seed=0).alpha
+
+        fast = sfs(X, y, cv_accuracy_criterion(X, y, k=3, config=FIXED), max_features=5, patience=5)
+        slow = sfs(X, y, reference, max_features=5, patience=5)
+        assert len(fast) == 5
+        assert fast.steps == slow.steps
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_sigma_rejected(self, sigma):
+        X, y = labeled_noise(n_cols=3, seed=1)
+        with pytest.raises(NonPositiveSigmaError):
+            cv_accuracy_criterion(X, y, config=PnnConfig(sigma=sigma))
+
+    def test_auto_sigma_rejected(self):
+        X, y = labeled_noise(n_cols=3, seed=1)
+        with pytest.raises(ValueError, match="fixed sigma"):
+            cv_accuracy_criterion(X, y, config=PnnConfig(sigma=None))
+
+    def test_fold_checks_kept(self):
+        X, y = labeled_noise(n_per=4, n_cols=3, seed=1)
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            cv_accuracy_criterion(X, y, k=1, config=FIXED)
+        with pytest.raises(TooFewSamplesError):
+            cv_accuracy_criterion(X, y, k=5, config=FIXED)
+
+    def test_non_finite_value_named(self):
+        X, y = labeled_noise(n_cols=3, seed=1)
+        X[4, 2] = np.nan
+        with pytest.raises(ValueError, match=r"training row \d+ column 2 is nan"):
+            cv_accuracy_criterion(X, y, k=3, config=FIXED)
 
 
 class TestSfs:
