@@ -20,7 +20,7 @@ import numpy as np
 
 from emgactions.crossval import monte_carlo
 from emgactions.dataset import load_dataset, read_manifest, scan_action_tree
-from emgactions.experiment import ExperimentConfig, read_config
+from emgactions.experiment import ExperimentConfig, _integer, read_config
 from emgactions.features.assemble import extract_feature_matrix, registry_for
 from emgactions.features.export import (
     read_feature_csv,
@@ -42,7 +42,10 @@ from emgactions.pnn import PnnConfig
 def _load_config(args) -> ExperimentConfig:
     cfg = read_config(args.config) if args.config else ExperimentConfig()
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
+        try:
+            cfg = replace(cfg, seed=_integer("seed", str(args.seed)))
+        except ValueError as exc:
+            raise ValueError(f"--seed: {exc}") from None
     if getattr(args, "out", None) is not None:
         cfg = replace(cfg, out=args.out)
     return cfg

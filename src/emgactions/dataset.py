@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -279,32 +280,44 @@ def read_manifest(path: str) -> DatasetManifest:
     return DatasetManifest(root, entries, counts["trials"], counts["channels"])
 
 
-def load_dataset(manifest: DatasetManifest) -> list[Recording]:
-    """Load every manifest entry and split it into its trials.
+def load_dataset(manifest: DatasetManifest) -> Iterator[Recording]:
+    """Check every manifest entry exists, then read the entries lazily.
+
+    Every path is checked before any file is parsed, so a missing file
+    fails at once. The files are parsed one at a time as the returned
+    iterator is consumed, so only the recording being used is in memory.
+    Wrap the result in ``list()`` to iterate over it more than once.
 
     Returns:
-        One Recording per entry, in manifest order, each holding
-        trials_per_file trials.
+        An iterator of one Recording per entry, in manifest order, each
+        holding trials_per_file trials.
 
     Raises:
-        MissingFileError: an entry path does not exist.
-        MalformedLineError, EmptyRecordingError, TooShortError: propagated
-            with the file path prepended to the message.
+        MissingFileError: an entry path does not exist; raised by the call.
+        MalformedLineError, EmptyRecordingError, TooShortError: raised
+            during iteration, with the file path prepended to the message.
     """
-    recordings: list[Recording] = []
-    for entry in manifest.entries:
-        full = os.path.join(manifest.root, entry.path)
+    paths = [os.path.join(manifest.root, entry.path) for entry in manifest.entries]
+    for full in paths:
         if not os.path.isfile(full):
             raise MissingFileError(f"recording not found: {full}")
-        try:
-            with open(full, "r", encoding="utf-8") as fh:
-                samples = parse_recording(fh, manifest.channels)
-            trials = split_trials(samples, manifest.trials_per_file)
-        except (MalformedLineError, EmptyRecordingError, TooShortError) as exc:
-            exc.args = (f"{full}: {exc}",)
-            raise
-        recordings.append(Recording(trials, entry.subject_id, entry.action_label))
-    return recordings
+    return _read_recordings(manifest, paths)
+
+
+def _read_recordings(manifest: DatasetManifest, paths: list) -> Iterator[Recording]:
+    for entry, full in zip(manifest.entries, paths):
+        # No local names the trials, so a suspended generator holds none.
+        yield Recording(_read_trials(full, manifest), entry.subject_id, entry.action_label)
+
+
+def _read_trials(full: str, manifest: DatasetManifest) -> np.ndarray:
+    try:
+        with open(full, "r", encoding="utf-8") as fh:
+            samples = parse_recording(fh, manifest.channels)
+        return split_trials(samples, manifest.trials_per_file)
+    except (MalformedLineError, EmptyRecordingError, TooShortError) as exc:
+        exc.args = (f"{full}: {exc}",)
+        raise
 
 
 def _normalize_action_name(name: str) -> str:

@@ -122,9 +122,12 @@ def _located(modality, extract, block, row_axes):
 
 
 def extract_feature_matrix(recordings, config: FeatureConfig = FeatureConfig()):
-    """Assemble features for every trial of a sequence of recordings.
+    """Assemble features for every trial of an iterable of recordings.
 
-    Each recording's (R, M, N) trials are computed as one block.
+    The recordings are consumed once, in order, and each recording's
+    (R, M, N) trials are computed as one block. Only each recording's
+    (R, D) features are kept, so a lazy iterable such as load_dataset's
+    holds one recording's samples in memory at a time.
 
     Returns:
         (X, y, subjects, trials): X is (P, D) float with one row per trial,
@@ -137,15 +140,19 @@ def extract_feature_matrix(recordings, config: FeatureConfig = FeatureConfig()):
         with the recording's subject id and action label, e.g.
         ``subject 3 action 12 trial 3 channel 6 sbp: ...``.
     """
-    recordings = list(recordings)
-    blocks = []
+    blocks, labels, subject_ids, counts = [], [], [], []
     for rec in recordings:
         try:
             blocks.append(assemble_features(rec.trials, config))
         except Exception as exc:
             raise type(exc)(f"subject {rec.subject_id} action {rec.action_label} {exc}") from None
-    counts = [len(rec.trials) for rec in recordings]
-    y = np.repeat(np.array([rec.action_label for rec in recordings], dtype=int), counts)
-    subjects = np.repeat(np.array([rec.subject_id for rec in recordings], dtype=int), counts)
+        labels.append(rec.action_label)
+        subject_ids.append(rec.subject_id)
+        counts.append(len(rec.trials))
+        # Release the samples before the next recording is read.
+        del rec
+    X = np.vstack(blocks)
+    y = np.repeat(np.array(labels, dtype=int), counts)
+    subjects = np.repeat(np.array(subject_ids, dtype=int), counts)
     trials = np.concatenate([np.arange(1, n + 1) for n in counts])
-    return np.vstack(blocks), y, subjects, trials
+    return X, y, subjects, trials

@@ -49,14 +49,19 @@ def ics_max_xcorr(seg_a, seg_b) -> float | np.ndarray:
     if n < 1:
         raise ValueError("segments must be nonempty")
     size = _fft_size(2 * n - 1)
-    spectrum = np.fft.rfft(a, size).conj()
-    spectrum *= np.fft.rfft(b, size)
+    return _peak_xcorr(np.fft.rfft(a, size), np.fft.rfft(b, size), n, size)[()]
+
+
+def _peak_xcorr(fa, fb, n: int, size: int) -> np.ndarray:
+    """Peak biased cross-correlation from the size-point rfft's of two length-n signals."""
+    spectrum = fa.conj()
+    spectrum *= fb
     xcorr = np.fft.irfft(spectrum, size)
     # Lags 0..n-1 sit at the front, lags -(n-1)..-1 at the back; the bins
     # between hold rounding noise, not lags.
     ahead = xcorr[..., :n].max(axis=-1)
     behind = xcorr[..., size - n + 1 :].max(axis=-1, initial=-np.inf)
-    return (np.maximum(ahead, behind) / n)[()]
+    return np.maximum(ahead, behind) / n
 
 
 def _fft_size(n: int) -> int:
@@ -98,7 +103,12 @@ def compute_ics(channels, pairs=DEFAULT_PAIRS, window: int | None = None) -> np.
         if not (1 <= i <= m and 1 <= j <= m):
             raise BadPairError(f"pair ({i}, {j}) outside channels 1..{m}")
     segs = segment_channel(x, window if window is not None else x.shape[-1])
-    # One call per pair: views, not gathered copies, so the FFT buffers stay
-    # one pair's size.
-    peaks = [ics_max_xcorr(segs[..., i - 1, :, :], segs[..., j - 1, :, :]) for i, j in pairs]
+    n = segs.shape[-1]
+    size = _fft_size(2 * n - 1)
+    # One forward transform per channel, shared by every pair it is in.
+    spectra = np.fft.rfft(segs, size)
+    peaks = [
+        _peak_xcorr(spectra[..., i - 1, :, :], spectra[..., j - 1, :, :], n, size)
+        for i, j in pairs
+    ]
     return np.stack(peaks, axis=-2).mean(axis=-1)

@@ -23,10 +23,13 @@ def write_feature_csv(path: str, X, y, subjects, trials, registry: FeatureRegist
     if X.ndim != 2 or X.shape[1] != len(registry):
         raise ValueError(f"matrix shape {X.shape} does not match registry size {len(registry)}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(registry.names()) + list(META_COLUMNS))
+        csv.writer(fh, lineterminator="\n").writerow(list(registry.names()) + list(META_COLUMNS))
+        # A float's repr holds no character csv would quote, so the rows are
+        # joined directly. One row at a time: a whole-matrix tolist() would
+        # hold every cell as a Python float at once.
         for row, label, subject, trial in zip(X, y, subjects, trials):
-            writer.writerow([repr(float(v)) for v in row] + [int(subject), int(trial), int(label)])
+            fh.write(",".join(map(repr, row.tolist())))
+            fh.write(f",{int(subject)},{int(trial)},{int(label)}\n")
 
 
 def read_feature_csv(path: str):

@@ -88,7 +88,7 @@ def test_acceptance_3_real_corpus_pipeline():
     """Full pipeline on the public corpus: 10-fold alpha >= 0.88, kappa >= 0.87."""
     start = time.monotonic()
     manifest = scan_action_tree(os.environ[DATASET_ENV])
-    recordings = load_dataset(manifest)
+    recordings = list(load_dataset(manifest))
     assert sum(len(rec.trials) for rec in recordings) == 1200
     cfg = FeatureConfig()
     X, y, _, _ = extract_feature_matrix(recordings, cfg)

@@ -136,6 +136,26 @@ class TestExtract:
         err = capsys.readouterr().err
         assert "error: subject 4 action 7 trial 3 channel 3 sbp: AR denominator vanished" in err
 
+    def test_malformed_middle_file_leaves_no_features(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("a.txt", "b.txt", "c.txt"):
+            write_recording(data / name, 1, 1)
+        with open(data / "b.txt", "a", encoding="utf-8") as fh:
+            fh.write("1 2 3\n")  # line 121 of a 3 x 40 sample file
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(
+            "root = data\ntrials = 3\nchannels = 8\n"
+            "entry = a.txt 1 1\nentry = b.txt 1 2\nentry = c.txt 1 3\n"
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["extract", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {data / 'b.txt'}: line 121: expected 8 fields, got 3" in err
+        assert not (out / "features.csv").exists()
+
 
 class TestSelect:
     def test_writes_trace(self, workspace, tmp_path, capsys):
@@ -205,6 +225,11 @@ class TestEval:
         report = json.loads((out / "report.json").read_text())
         assert report["base_seed"] == 7
         assert report["config"]["seed"] == 7
+
+    def test_negative_seed_override_exits_2(self, workspace, tmp_path, capsys):
+        assert self.run_eval(workspace, tmp_path / "eval", ("--seed", "-1")) == 2
+        assert "error: --seed: seed must be an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     def test_selected_list(self, workspace, tmp_path):
         out = tmp_path / "eval"

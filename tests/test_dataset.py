@@ -1,4 +1,5 @@
 import os
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -240,7 +241,7 @@ def test_load_dataset_uniform_label_histogram(tmp_path):
             _write_recording(tmp_path / name, 12, 2, rng)
             entries.append(ManifestEntry(name, subject, label))
     manifest = DatasetManifest(root=str(tmp_path), entries=entries, trials_per_file=4, channels=2)
-    recordings = load_dataset(manifest)
+    recordings = list(load_dataset(manifest))
     assert [(rec.subject_id, rec.action_label) for rec in recordings] == [
         (s, a) for s in (1, 2) for a in (1, 2, 3)
     ]
@@ -263,6 +264,42 @@ def test_load_dataset_missing_file(tmp_path):
         load_dataset(manifest)
 
 
+def test_load_dataset_checks_every_path_before_parsing(tmp_path):
+    (tmp_path / "bad.txt").write_text("1 2\n1 2 3\n")
+    manifest = DatasetManifest(
+        root=str(tmp_path),
+        entries=[ManifestEntry("bad.txt", 1, 1), ManifestEntry("absent.txt", 1, 2)],
+        trials_per_file=1,
+        channels=2,
+    )
+    with mock.patch.object(dataset, "parse_recording", side_effect=AssertionError("parsed")):
+        with pytest.raises(MissingFileError, match="absent.txt"):
+            load_dataset(manifest)
+
+
+def test_load_dataset_parses_as_consumed(tmp_path):
+    rng = np.random.default_rng(6)
+    for name in ("a.txt", "b.txt"):
+        _write_recording(tmp_path / name, 4, 2, rng)
+    manifest = DatasetManifest(
+        root=str(tmp_path),
+        entries=[ManifestEntry("a.txt", 1, 1), ManifestEntry("b.txt", 1, 2)],
+        trials_per_file=2,
+        channels=2,
+    )
+    with mock.patch.object(dataset, "parse_recording", wraps=dataset.parse_recording) as parse:
+        recordings = load_dataset(manifest)
+        assert parse.call_count == 0
+        first = next(recordings)
+        assert first.action_label == 1
+        assert parse.call_count == 1
+        released = weakref.ref(first.trials)
+        del first
+        assert released() is None  # the suspended iterator holds no samples
+        assert [rec.action_label for rec in recordings] == [2]
+        assert parse.call_count == 2
+
+
 def test_load_dataset_parse_error_names_file(tmp_path):
     (tmp_path / "bad.txt").write_text("1 2\n1 2 3\n")
     manifest = DatasetManifest(
@@ -272,7 +309,7 @@ def test_load_dataset_parse_error_names_file(tmp_path):
         channels=2,
     )
     with pytest.raises(MalformedLineError) as exc:
-        load_dataset(manifest)
+        list(load_dataset(manifest))
     assert str(exc.value) == f"{tmp_path / 'bad.txt'}: line 2: expected 2 fields, got 3"
     assert exc.value.line_no == 2
 
@@ -294,7 +331,7 @@ def test_load_dataset_recording_error_names_file(tmp_path, text, error, message)
         channels=2,
     )
     with pytest.raises(error) as exc:
-        load_dataset(manifest)
+        list(load_dataset(manifest))
     assert str(exc.value).startswith(f"{tmp_path / 'bad.txt'}: {message}")
 
 

@@ -3,11 +3,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emgactions.features import export
 from emgactions.features.export import META_COLUMNS, read_feature_csv
+from emgactions.features.registry import FeatureDescriptor, FeatureRegistry
 
 
 def write_rows(path, names, rows, blank_lines=False):
@@ -52,6 +53,38 @@ def test_bulk_read_equals_row_reader(tmp_path_factory, X, fmt, blank_lines, seed
     assert fast[4] == slow[4] == names
     assert np.array_equal(slow[0], [[float(fmt(float(v))) for v in x] for x in X])
     assert np.array_equal(slow[1:4], meta[:, [2, 0, 1]].T)
+
+
+def write_reference(path, X, y, subjects, trials, names):
+    # The reference writer: csv.writer over repr(float(v)) cells.
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(names) + list(META_COLUMNS))
+        for row, label, subject, trial in zip(X, y, subjects, trials):
+            writer.writerow([repr(float(v)) for v in row] + [int(subject), int(trial), int(label)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arrays(
+        float,
+        st.tuples(st.integers(1, 8), st.integers(1, 6)),
+        elements=st.floats() | st.integers(-(10**17), 10**17).map(float),
+    ),
+    st.integers(0, 2**31),
+)
+@example(np.array([[-0.0, 5e-324, 1e308, 1e15, 2.0**53 + 2, -1e16]]), 0)
+@example(np.array([[0.0], [-5e-324], [-1e308], [123456789012345.0]]), 1)
+def test_writer_bytes_equal_csv_writer(tmp_path_factory, X, seed):
+    meta = np.random.default_rng(seed).integers(-(10**16), 10**16, (3, X.shape[0]))
+    meta[:, 0] = 10**15
+    registry = FeatureRegistry(
+        [FeatureDescriptor(j + 1, "tds", 1, None, j + 1, f"f{j}") for j in range(X.shape[1])]
+    )
+    path = tmp_path_factory.mktemp("csv")
+    export.write_feature_csv(str(path / "new.csv"), X, *meta, registry)
+    write_reference(path / "old.csv", X, *meta, registry.names())
+    assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

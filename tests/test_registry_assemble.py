@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -217,3 +219,33 @@ class TestAssemble:
         assert trials.tolist() == [1, 2, 3, 1, 2, 3]
         assert np.allclose(X[4], assemble_features(blocks[1][1], cfg))
         assert np.array_equal(X[3:], assemble_features(blocks[1], cfg))
+
+    def test_extract_feature_matrix_one_shot_generator(self):
+        cfg = FeatureConfig()
+        recordings = [
+            Recording(np.stack([make_trial(seed=4 * r + t) for t in range(r + 1)]), r, 5 - r)
+            for r in range(1, 4)
+        ]
+        expected = extract_feature_matrix(recordings, cfg)
+        streamed = extract_feature_matrix((rec for rec in recordings), cfg)
+        for a, b in zip(expected, streamed):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    def test_extract_feature_matrix_releases_each_recording(self):
+        refs, alive = [], []
+
+        def make(label):
+            trials = np.stack([make_trial(seed=label * 10 + t) for t in range(2)])
+            refs.append(weakref.ref(trials))
+            return Recording(trials, 1, label)
+
+        def stream():
+            for label in (1, 2, 3):
+                # The consumer holds the previous recording, if anything does.
+                alive.append(bool(refs) and refs[-1]() is not None)
+                yield make(label)
+
+        y = extract_feature_matrix(stream(), FeatureConfig())[1]
+        assert alive == [False, False, False]
+        assert y.tolist() == [1, 1, 2, 2, 3, 3]
