@@ -114,8 +114,12 @@ def cmd_extract(args) -> int:
         raise ValueError("extract needs a manifest (--manifest or config key)")
     if os.path.isdir(manifest_path):
         manifest = scan_action_tree(manifest_path, channels=cfg.channels)
+        if not manifest.entries:
+            raise ValueError(f"no recording found: {manifest_path} holds no action-named .txt file")
     else:
         manifest = read_manifest(manifest_path)
+        if not manifest.entries:
+            raise ValueError(f"no recording found: manifest {manifest_path} has no 'entry' line")
     recordings = load_dataset(manifest)
     feature_config = cfg.feature_config()
     X, y, subjects, trials = extract_feature_matrix(recordings, feature_config)

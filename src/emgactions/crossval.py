@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class EvalReport:
     confusion: np.ndarray
     alpha: float
     kappa: float
-    seed: int
     folds: int
 
     def __post_init__(self):
@@ -115,7 +114,9 @@ def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -
 
     Candidates are tried in ascending order and only strict improvements are
     kept, so ties resolve toward the smallest sigma. Runs entirely on the
-    given data; callers pass their training split only.
+    given data; callers pass their training split only. Each inner split is
+    fitted once: the fitted state does not depend on sigma, so every
+    candidate reuses it.
 
     Raises:
         EmptyGridError: no candidates.
@@ -129,22 +130,24 @@ def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     assignment = stratified_folds(y, folds, seed)
+    correct = [0] * len(grid)
+    total = 0
+    for f in range(folds):
+        test = assignment == f
+        if not np.any(test) or np.all(test):
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyClassWarning)
+            model = fit_pnn(X[~test], y[~test], grid[0], n_classes=int(y.max()))
+        X_test, y_test = X[test], y[test]
+        for i, sigma in enumerate(grid):
+            labels, _ = replace(model, sigma=sigma).predict_batch(X_test)
+            correct[i] += int(np.count_nonzero(labels == y_test))
+        total += y_test.size
     best_sigma = grid[0]
     best_score = -1.0
-    for sigma in grid:
-        correct = 0
-        total = 0
-        for f in range(folds):
-            test = assignment == f
-            if not np.any(test) or np.all(test):
-                continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EmptyClassWarning)
-                model = fit_pnn(X[~test], y[~test], sigma, n_classes=int(y.max()))
-            labels, _ = model.predict_batch(X[test])
-            correct += int(np.sum(labels == y[test]))
-            total += int(np.sum(test))
-        score = correct / total if total else 0.0
+    for sigma, hits in zip(grid, correct):
+        score = hits / total if total else 0.0
         if score > best_score:
             best_score = score
             best_sigma = sigma
@@ -192,7 +195,6 @@ def kfold_cv(
         confusion=cm,
         alpha=accuracy(cm),
         kappa=kappa(cm),
-        seed=seed,
         folds=k,
     )
 

@@ -78,10 +78,6 @@ class FeatureRegistry:
         """Global indices belonging to one modality, ascending."""
         return tuple(d.index for d in self._descriptors if d.modality == modality)
 
-    def channel_indices(self, channel: int) -> tuple[int, ...]:
-        """Global indices involving a channel; ICS pairs match on either end."""
-        return tuple(d.index for d in self._descriptors if d.touches_channel(channel))
-
 
 def build_registry(
     channels: int = 8,

@@ -16,6 +16,10 @@ import numpy as np
 
 DEFAULT_SIGMA_GRID = (0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0, 1.5)
 
+# np.exp(x) is exactly +0.0 for every x <= -745.1332, yet numpy's vector exp
+# spends about 20 times its normal cost per element on such inputs.
+LOG_ZERO = -746.0
+
 
 class NonPositiveSigmaError(ValueError):
     """Kernel width must be finite and strictly positive."""
@@ -23,6 +27,18 @@ class NonPositiveSigmaError(ValueError):
 
 class DimensionMismatchError(ValueError):
     """Input dimension differs from the model's feature dimension."""
+
+
+class NonFiniteScoreError(ValueError):
+    """A query's class scores are not finite, so it has no label.
+
+    Attributes:
+        row: the query's row in the distance matrix.
+    """
+
+    def __init__(self, row: int, detail: str = ""):
+        self.row = row
+        super().__init__(f"query row {row} has no finite class score{detail}")
 
 
 class EmptyClassWarning(UserWarning):
@@ -81,7 +97,8 @@ class PnnModel:
         class_ids: ascending class ids that have exemplars.
         counts: exemplar count per entry of class_ids.
         sigma: Gaussian kernel width, finite and > 0.
-        priors: prior probability per class id in 1..n_classes, summing to 1.
+        priors: prior probability per class id in 1..n_classes, 1 / n_classes
+            each.
         n_classes: label range size C.
     """
 
@@ -107,6 +124,9 @@ class PnnModel:
         Raises:
             DimensionMismatchError: X is not (n, n_features).
             ValueError: X holds a NaN or infinite value.
+            NonFiniteScoreError: a row's squared distances overflow, as a
+                value far outside a column's tiny training spread makes
+                them; the message names the row and that column.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
@@ -123,9 +143,17 @@ class PnnModel:
         k += np.sum(Xn * Xn, axis=1)[:, np.newaxis]
         k += np.sum(E * E, axis=1)
         np.maximum(k, 0.0, out=k)
-        return classify_distances(
-            k, self.sigma, self.counts, self.class_ids, self.priors, self.n_classes
-        )
+        try:
+            return classify_distances(
+                k, self.sigma, self.counts, self.class_ids, self.priors, self.n_classes
+            )
+        except NonFiniteScoreError as exc:
+            c = int(np.argmax(np.abs(Xn[exc.row])))
+            raise NonFiniteScoreError(
+                exc.row,
+                f": column {c} lies {float(Xn[exc.row, c]):.3g} training standard "
+                "deviations from its mean, so its squared distances overflow",
+            ) from None
 
 
 def classify_distances(d2, sigma, counts, class_ids, priors, n_classes):
@@ -135,9 +163,11 @@ def classify_distances(d2, sigma, counts, class_ids, priors, n_classes):
     criterion. Scores are prior_c * mean_i exp(-d2_i / (2 sigma^2)) over the
     exemplars of class c. Exponents are shifted by their per-row maximum
     before exponentiation; the common factor cancels in the normalization,
-    so posteriors are unchanged while tiny sigmas stay clear of underflow.
-    If every score still underflows to 0 the posterior falls back to
-    uniform (label = smallest id).
+    so posteriors are unchanged while tiny sigmas stay clear of underflow:
+    the nearest exemplar scores exp(0) = 1, so a row of finite distances
+    always has a positive total. np.exp is not called on exponents below
+    LOG_ZERO; their kernel values are set to the +0.0 it would return, so
+    no output bit changes.
 
     Args:
         d2: (n, N) squared distances on normalized coordinates, columns in
@@ -150,13 +180,24 @@ def classify_distances(d2, sigma, counts, class_ids, priors, n_classes):
 
     Returns:
         (labels (n,), posteriors (n, C)).
+
+    Raises:
+        NonFiniteScoreError: a row of d2 holds no finite value, or a NaN.
     """
     # Every step works in place on the one (n, N) buffer: a temporary per
     # step pushes it out of cache and costs more than the arithmetic.
     k = d2
     k *= -1.0 / (2.0 * sigma * sigma)
     k -= k.max(axis=1, keepdims=True)
-    np.exp(k, out=k)
+    # A strided sample decides whether the mask is worth its two passes; it
+    # changes only the speed, since masked and unmasked give the same bits.
+    if k[::4, ::64].min(initial=0.0) < LOG_ZERO:
+        zero = k < LOG_ZERO
+        np.putmask(k, zero, 0.0)
+        np.exp(k, out=k)
+        np.putmask(k, zero, 0.0)
+    else:
+        np.exp(k, out=k)
     starts = np.cumsum(counts) - counts
     kernel_mean = np.add.reduceat(k, starts, axis=1) / counts
     n = k.shape[0]
@@ -164,11 +205,11 @@ def classify_distances(d2, sigma, counts, class_ids, priors, n_classes):
     cols = class_ids - 1
     scores[:, cols] = priors[cols] * kernel_mean
     totals = scores.sum(axis=1)
-    posteriors = np.full((n, n_classes), 1.0 / n_classes)
-    ok = totals > 0.0
-    posteriors[ok] = scores[ok] / totals[ok, np.newaxis]
-    labels = np.where(ok, np.argmax(scores, axis=1) + 1, 1)
-    return labels.astype(int), posteriors
+    bad = ~(totals > 0.0)
+    if bad.any():
+        raise NonFiniteScoreError(int(np.argmax(bad)))
+    posteriors = scores / totals[:, np.newaxis]
+    return np.argmax(scores, axis=1) + 1, posteriors
 
 
 def check_sigma(sigma) -> float:
@@ -191,14 +232,13 @@ def _require_finite(X: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} row {r} column {c} is {float(X[r, c])!r}; values must be finite")
 
 
-def fit_pnn(X, y, sigma: float, priors=None, n_classes: int | None = None) -> PnnModel:
-    """Store normalized exemplars sorted by class.
+def fit_pnn(X, y, sigma: float, n_classes: int | None = None) -> PnnModel:
+    """Store normalized exemplars sorted by class, with uniform priors.
 
     Args:
         X: (P, D) training matrix, nonempty and finite.
         y: labels in 1..C.
         sigma: kernel width, finite and > 0.
-        priors: per-class priors over 1..C; default uniform.
         n_classes: C; default max(y).
 
     Raises:
@@ -230,12 +270,6 @@ def fit_pnn(X, y, sigma: float, priors=None, n_classes: int | None = None) -> Pn
             EmptyClassWarning,
             stacklevel=2,
         )
-    if priors is None:
-        priors = np.full(C, 1.0 / C)
-    else:
-        priors = np.asarray(priors, dtype=float)
-        if priors.size != C:
-            raise ValueError(f"priors length {priors.size} != n_classes {C}")
     normalizer = Normalizer.fit(X)
     class_ids = np.flatnonzero(per_class) + 1
     return PnnModel(
@@ -244,6 +278,6 @@ def fit_pnn(X, y, sigma: float, priors=None, n_classes: int | None = None) -> Pn
         class_ids=class_ids,
         counts=per_class[class_ids - 1],
         sigma=sigma,
-        priors=priors,
+        priors=np.full(C, 1.0 / C),
         n_classes=C,
     )

@@ -16,7 +16,7 @@ from emgactions.crossval import kfold_cv  # noqa: F401 - perfbench/tracing.py pa
 from emgactions.features.registry import BadIndexError, FeatureRegistry
 from emgactions.features.spectral import LMF_COUNT
 from emgactions.metrics import accuracy, confusion_matrix, kappa
-from emgactions.pnn import PnnConfig, classify_distances, fit_pnn
+from emgactions.pnn import NonFiniteScoreError, PnnConfig, classify_distances, fit_pnn
 
 
 class NoFeaturesError(ValueError):
@@ -83,6 +83,8 @@ def cv_accuracy_criterion(
         ValueError: config.sigma is None (the criterion needs a fixed
             width), k < 2, or a value of X is NaN or infinite (named by its
             row in a fold's training rows and its column).
+        NonFiniteScoreError: raised by a call whose squared distances
+            overflow for some row of X, which the message names.
         NonPositiveSigmaError: sigma is not finite and > 0.
         TooFewSamplesError: some class has fewer than k samples.
     """
@@ -117,9 +119,15 @@ def cv_accuracy_criterion(
             d2 = fold.squared_differences(last, buffer)
             if prefix:
                 d2 += cache
-            labels, _ = classify_distances(
-                d2, fold.sigma, fold.counts, fold.class_ids, fold.priors, C
-            )
+            try:
+                labels, _ = classify_distances(
+                    d2, fold.sigma, fold.counts, fold.class_ids, fold.priors, C
+                )
+            except NonFiniteScoreError as exc:
+                raise NonFiniteScoreError(
+                    int(fold.test[exc.row]),
+                    f" on feature indices {tuple(c + 1 for c in cols)}",
+                ) from None
             correct += int(np.count_nonzero(labels == fold.y_test))
         return correct / y.size
 

@@ -113,6 +113,25 @@ class TestExtract:
     def test_manifest_required(self, tmp_path, capsys):
         assert main(["extract", "--out", str(tmp_path)]) == 2
 
+    def test_empty_directory_names_it(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        (data / "sub1").mkdir(parents=True)
+        (data / "sub1" / "notes.txt").write_text("not an action\n")
+        rc = main(["extract", "--manifest", str(data), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: no recording found: {data} holds no action-named .txt file" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_without_entries_names_it(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("root = data\ntrials = 3\n")
+        rc = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: no recording found: manifest {manifest} has no 'entry' line" in err
+        assert not (tmp_path / "out").exists()
+
     def test_pole_on_grid_is_input_error(self, tmp_path, capsys, monkeypatch):
         # A zeroed channel fits a zero-noise AR model; a stand-in ar_psd fails
         # on exactly that model, as a near-unstable fit would.
@@ -279,6 +298,28 @@ class TestEval:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+
+    def test_tiny_column_spread_exits_2(self, workspace, tmp_path, capsys):
+        # Column 41 spreads 5e-161 in training, so a test row's 1e-3 there
+        # overflows every squared distance instead of scoring a label.
+        rows = rows_of(workspace["features"])
+        for i, row in enumerate(rows[1:]):
+            row[40] = repr(1e-160 * (i % 2))
+        rows[4][40] = repr(1e-3)
+        bad = tmp_path / "features.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        rc = main([
+            "eval",
+            "--config", str(workspace["config"]),
+            "--features", str(bad),
+            "--selected", "1,41",
+            "--out", str(tmp_path / "eval"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "has no finite class score: column 1 lies 2" in err
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_feature_rejected(self, workspace, tmp_path, capsys, cell):

@@ -1,13 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from emgactions.crossval import EmptyGridError, select_sigma
+from emgactions import crossval
+from emgactions.crossval import EmptyGridError, select_sigma, stratified_folds
 from emgactions.pnn import (
     DEFAULT_SIGMA_GRID,
+    LOG_ZERO,
     DimensionMismatchError,
     EmptyClassWarning,
+    NonFiniteScoreError,
     NonPositiveSigmaError,
     Normalizer,
+    PnnModel,
+    classify_distances,
     fit_pnn,
 )
 from ._synth import blobs
@@ -115,9 +122,9 @@ class TestPredict:
 
     def test_huge_sigma_recovers_priors(self):
         X, y = blobs(n_per_class=6, n_classes=2, seed=5)
-        model = fit_pnn(X, y, sigma=1e6, priors=(0.7, 0.3))
+        model = fit_pnn(X, y, sigma=1e6)
         _, post = model.predict_batch(np.array([0.3] * X.shape[1])[None])
-        assert post[0] == pytest.approx([0.7, 0.3], abs=1e-4)
+        assert post[0] == pytest.approx([0.5, 0.5], abs=1e-4)
 
     def test_duplicating_exemplars_changes_nothing(self):
         X, y = blobs(n_per_class=7, n_classes=3, dim=2, seed=6)
@@ -161,6 +168,21 @@ class TestPredict:
         with pytest.raises(DimensionMismatchError):
             model.predict_batch(np.zeros((5, 4)))
 
+    def test_tiny_training_spread_fails_loudly(self):
+        # std 5e-161 is not 0, so the column keeps its spread, and a query
+        # 2e157 spreads away has infinite distances to every exemplar.
+        X = np.array([[0.0, 0.0], [1e-160, 1.0], [0.0, 2.0], [1e-160, 3.0]])
+        y = np.array([1, 1, 2, 2])
+        model = fit_pnn(X, y, sigma=0.5)
+        assert model.normalizer.scale[0] == pytest.approx(5e-161)
+        Q = np.array([[0.0, 1.0], [1e-3, 1.0], [1e-3, 2.0]])
+        with pytest.raises(
+            NonFiniteScoreError,
+            match=r"^query row 1 has no finite class score: column 0 lies 2e\+157 ",
+        ) as info:
+            model.predict_batch(Q)
+        assert info.value.row == 1
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, bad):
         X, y = blobs(n_per_class=4, dim=3, seed=19)
@@ -201,3 +223,168 @@ class TestSigmaSelection:
         X, y = blobs(n_per_class=12, n_classes=3, spread=1.5, seed=14)
         picks = {select_sigma(X, y, DEFAULT_SIGMA_GRID, folds=4, seed=3) for _ in range(3)}
         assert len(picks) == 1
+
+
+def plain_exp_kernel(d2, sigma, counts, class_ids, priors, n_classes):
+    """classify_distances as it was before the underflow mask: np.exp on every
+    exponent, and a uniform posterior where no score is positive."""
+    k = d2.copy()
+    k *= -1.0 / (2.0 * sigma * sigma)
+    k -= k.max(axis=1, keepdims=True)
+    np.exp(k, out=k)
+    starts = np.cumsum(counts) - counts
+    kernel_mean = np.add.reduceat(k, starts, axis=1) / counts
+    n = k.shape[0]
+    scores = np.zeros((n, n_classes))
+    cols = class_ids - 1
+    scores[:, cols] = priors[cols] * kernel_mean
+    totals = scores.sum(axis=1)
+    posteriors = np.full((n, n_classes), 1.0 / n_classes)
+    ok = totals > 0.0
+    posteriors[ok] = scores[ok] / totals[ok, np.newaxis]
+    labels = np.where(ok, np.argmax(scores, axis=1) + 1, 1)
+    return labels.astype(int), posteriors
+
+
+def exp_bands(d2, sigma):
+    """Counts of exponents whose exp is normal, subnormal and exactly 0."""
+    k = d2 * (-1.0 / (2.0 * sigma * sigma))
+    e = np.exp(k - k.max(axis=1, keepdims=True))
+    tiny = np.finfo(float).tiny
+    return np.array([np.sum(e >= tiny), np.sum((e > 0.0) & (e < tiny)), np.sum(e == 0.0)])
+
+
+class TestUnderflowMask:
+    def test_log_zero_is_exact_zero(self):
+        assert np.exp(LOG_ZERO) == 0.0
+        below = np.concatenate([
+            np.nextafter(LOG_ZERO, -np.inf, dtype=float)[None],
+            np.linspace(LOG_ZERO, -800.0, 1001),
+            -np.logspace(np.log10(800.0), 300, 200),
+            [-np.inf],
+        ])
+        out = np.exp(below)
+        assert np.all(out == 0.0)
+        assert not np.any(np.signbit(out))
+        # The subnormal band right above LOG_ZERO is left to np.exp.
+        assert 0.0 < np.exp(-745.13) < np.finfo(float).tiny
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_to_plain_exp(self, seed):
+        # Each class sits at its own random distance from each query, so
+        # some classes score only through subnormal or zero kernel values.
+        rng = np.random.default_rng(seed)
+        n_classes = 5
+        y = np.sort(np.concatenate([[1, 2, 4], rng.integers(1, n_classes + 1, 237)]))
+        class_ids = np.unique(y)
+        counts = np.bincount(y)[class_ids]
+        priors = np.full(n_classes, 1.0 / n_classes)
+        offsets = rng.uniform(0.0, 40.0, (60, n_classes + 1))
+        d2 = offsets[:, y] + rng.uniform(0.0, 0.5, (60, y.size))
+        bands = np.zeros(3, dtype=int)
+        subnormal_posteriors = 0
+        tiny = np.finfo(float).tiny
+        for sigma in DEFAULT_SIGMA_GRID:
+            bands += exp_bands(d2, sigma)
+            want = plain_exp_kernel(d2, sigma, counts, class_ids, priors, n_classes)
+            got = classify_distances(d2.copy(), sigma, counts, class_ids, priors, n_classes)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            subnormal_posteriors += int(np.sum((want[1] > 0.0) & (want[1] < tiny)))
+        assert np.all(bands > 0), bands  # normal, subnormal and zero all occur
+        assert subnormal_posteriors > 0
+
+    def test_unsampled_underflow_gives_same_bits(self):
+        # One underflowing exponent that the strided sample does not see:
+        # the unmasked path must agree with the masked one bit for bit.
+        d2 = np.full((6, 130), 0.5)
+        d2[:, 0] = 0.0
+        d2[1, 65] = 1e4
+        counts, class_ids = np.array([65, 65]), np.array([1, 2])
+        priors = np.array([0.5, 0.5])
+        for rows in (slice(None), [1, 1, 1, 1]):
+            want = plain_exp_kernel(d2[rows], 0.05, counts, class_ids, priors, 2)
+            got = classify_distances(d2[rows].copy(), 0.05, counts, class_ids, priors, 2)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[1][0, 1] > 0.0
+
+    @pytest.mark.parametrize("row", [1, 2])
+    def test_non_finite_row_raises(self, row):
+        d2 = np.ones((4, 6))
+        d2[0, 3] = np.inf  # one infinite distance leaves the row a finite score
+        d2[2] = np.inf
+        if row == 1:
+            d2[1, 4] = np.nan
+        counts, class_ids = np.array([3, 3]), np.array([1, 2])
+        with pytest.raises(NonFiniteScoreError, match=f"^query row {row} has no finite") as info:
+            classify_distances(d2, 0.3, counts, class_ids, np.array([0.5, 0.5]), 2)
+        assert info.value.row == row
+
+
+def refit_per_sigma(X, y, grid, folds, seed):
+    """select_sigma as it was: one fit per (sigma, inner split)."""
+    grid = sorted(grid)
+    assignment = stratified_folds(y, folds, seed)
+    best_sigma, best_score = grid[0], -1.0
+    for sigma in grid:
+        correct = total = 0
+        for f in range(folds):
+            test = assignment == f
+            if not np.any(test) or np.all(test):
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EmptyClassWarning)
+                model = fit_pnn(X[~test], y[~test], sigma, n_classes=int(y.max()))
+            labels, _ = model.predict_batch(X[test])
+            correct += int(np.sum(labels == y[test]))
+            total += int(np.sum(test))
+        score = correct / total if total else 0.0
+        if score > best_score:
+            best_score, best_sigma = score, sigma
+    return best_sigma
+
+
+def sigma_cases():
+    tie = blobs(n_per_class=15, n_classes=2, separation=6.0, spread=0.1, seed=12)
+    yield "grid tie", tie[0], tie[1], 5
+    for seed in (14, 15, 16):
+        X, y = blobs(n_per_class=12, n_classes=3, dim=4, spread=1.5, separation=1.0, seed=seed)
+        yield f"overlap {seed}", X, y, 4
+    X, y = blobs(n_per_class=8, n_classes=3, dim=3, spread=1.2, separation=1.0, seed=17)
+    keep = np.concatenate([np.flatnonzero(y != 3), np.flatnonzero(y == 3)[:1]])
+    yield "class in one split only", X[keep], y[keep], 5
+    firsts = [np.flatnonzero(y == c)[0] for c in (1, 2, 3)]
+    yield "empty splits", X[firsts], y[firsts], 5
+
+
+class TestSigmaSelectionFits:
+    @pytest.mark.parametrize("case", list(sigma_cases()), ids=lambda c: c[0])
+    def test_one_fit_per_inner_split(self, case, monkeypatch):
+        _, X, y, folds = case
+        assignment = stratified_folds(y, folds, 0)
+        sizes = np.bincount(assignment, minlength=folds)
+        splits = int(np.sum((sizes > 0) & (sizes < y.size)))
+        want = refit_per_sigma(X, y, DEFAULT_SIGMA_GRID, folds, 0)
+        calls = {"fit": 0, "predict": 0}
+        real_fit, real_predict = crossval.fit_pnn, PnnModel.predict_batch
+
+        def counting_fit(*args, **kwargs):
+            calls["fit"] += 1
+            return real_fit(*args, **kwargs)
+
+        def counting_predict(*args, **kwargs):
+            calls["predict"] += 1
+            return real_predict(*args, **kwargs)
+
+        monkeypatch.setattr(crossval, "fit_pnn", counting_fit)
+        monkeypatch.setattr(PnnModel, "predict_batch", counting_predict)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", EmptyClassWarning)  # silenced inside
+            got = select_sigma(X, y, DEFAULT_SIGMA_GRID, folds=folds, seed=0)
+        assert got == want
+        assert calls == {"fit": splits, "predict": splits * len(DEFAULT_SIGMA_GRID)}
+
+    def test_tie_case_ties(self):
+        _, X, y, folds = next(sigma_cases())
+        assert select_sigma(X, y, DEFAULT_SIGMA_GRID, folds=folds) == DEFAULT_SIGMA_GRID[0]

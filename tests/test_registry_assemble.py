@@ -76,10 +76,10 @@ class TestRegistry:
 
     def test_channel_indices_include_pair_endpoints(self):
         reg = build_registry()
-        ch1 = reg.channel_indices(1)
+        ch1 = [d.index for d in reg if d.touches_channel(1)]
         assert set(ch1) & set(reg.modality_indices("ics")) == {36, 37, 38}
         assert len(ch1) == 4 + 3 + 17 + 10 + 2
-        ch4 = reg.channel_indices(4)
+        ch4 = [d.index for d in reg if d.touches_channel(4)]
         assert set(ch4) & set(reg.modality_indices("ics")) == {33, 34, 36, 43}
         assert len(ch4) == 4 + 4 + 17 + 10 + 2
 

@@ -3,7 +3,7 @@ import pytest
 
 from emgactions.crossval import TooFewSamplesError, kfold_cv, monte_carlo
 from emgactions.features.registry import BadIndexError, build_registry
-from emgactions.pnn import NonPositiveSigmaError, PnnConfig
+from emgactions.pnn import NonFiniteScoreError, NonPositiveSigmaError, PnnConfig
 from emgactions.selection import (
     ChannelUnusedWarning,
     NoFeaturesError,
@@ -108,6 +108,18 @@ class TestCriterion:
         X[4, 2] = np.nan
         with pytest.raises(ValueError, match=r"training row \d+ column 2 is nan"):
             cv_accuracy_criterion(X, y, k=3, config=FIXED)
+
+    def test_overflowing_distances_name_the_matrix_row(self):
+        # Column 2's training spread is 5e-161 in the fold that tests row 7,
+        # whose 1e-3 lies 2e157 spreads away.
+        X, y = labeled_noise(n_cols=3, seed=1)
+        X[:, 1] = np.resize([0.0, 1e-160], y.size)
+        X[7, 1] = 1e-3
+        crit = cv_accuracy_criterion(X, y, k=3, config=FIXED)
+        assert crit((1,)) > 0.0
+        message = r"^query row 7 has no finite class score on feature indices \(1, 2\)$"
+        with pytest.raises(NonFiniteScoreError, match=message):
+            crit((1, 2))
 
 
 class TestSfs:
