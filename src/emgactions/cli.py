@@ -36,7 +36,6 @@ from emgactions.selection import (
     reference_selection,
     sfs,
 )
-from emgactions.pnn import PnnConfig
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -121,9 +120,8 @@ def cmd_extract(args) -> int:
         if not manifest.entries:
             raise ValueError(f"no recording found: manifest {manifest_path} has no 'entry' line")
     recordings = load_dataset(manifest)
-    feature_config = cfg.feature_config()
-    X, y, subjects, trials = extract_feature_matrix(recordings, feature_config)
-    registry = registry_for(feature_config, channels=cfg.channels)
+    X, y, subjects, trials = extract_feature_matrix(recordings, cfg.features)
+    registry = registry_for(cfg.features, channels=cfg.channels)
     os.makedirs(cfg.out, exist_ok=True)
     features_path = os.path.join(cfg.out, "features.csv")
     registry_path = os.path.join(cfg.out, "registry.csv")
@@ -141,7 +139,7 @@ def cmd_select(args) -> int:
         X,
         y,
         k=cfg.sfs_folds,
-        config=PnnConfig(sigma=cfg.sfs_sigma),
+        sigma=cfg.sfs_sigma,
         seed=cfg.seed,
     )
     trace = sfs(X, y, criterion, max_features=cfg.max_features, patience=cfg.patience)
@@ -159,7 +157,7 @@ def cmd_select(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     X, y, _, _, names = read_feature_csv(args.features)
-    registry = registry_for(cfg.feature_config(), channels=cfg.channels)
+    registry = registry_for(cfg.features, channels=cfg.channels)
     if args.selected == "reference":
         _check_registry(names, registry, args.features)
     selected = _parse_selected(args.selected, X.shape[1], registry)
@@ -202,7 +200,7 @@ def cmd_eval(args) -> int:
 def cmd_relevance(args) -> int:
     cfg = _load_config(args)
     X, y, _, _, names = read_feature_csv(args.features)
-    registry = registry_for(cfg.feature_config(), channels=cfg.channels)
+    registry = registry_for(cfg.features, channels=cfg.channels)
     _check_registry(names, registry, args.features)
     selected = _parse_selected(args.selected, X.shape[1], registry)
     results = channel_relevance(
@@ -230,7 +228,7 @@ def cmd_relevance(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
     X, y, _, _, names = read_feature_csv(args.features)
-    registry = registry_for(cfg.feature_config(), channels=cfg.channels)
+    registry = registry_for(cfg.features, channels=cfg.channels)
     _check_registry(names, registry, args.features)
     selected = _parse_selected(args.selected, X.shape[1], registry)
     groups = ablation_groups(selected, registry)

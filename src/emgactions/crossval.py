@@ -31,7 +31,6 @@ class EvalReport:
     confusion: np.ndarray
     alpha: float
     kappa: float
-    folds: int
 
     def __post_init__(self):
         self.confusion = np.asarray(self.confusion, dtype=int)
@@ -112,8 +111,8 @@ def kfold_assignment(y, k: int, seed: int) -> np.ndarray:
 def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -> float:
     """Pick the kernel width maximizing internal cross-validated accuracy.
 
-    Candidates are tried in ascending order and only strict improvements are
-    kept, so ties resolve toward the smallest sigma. Runs entirely on the
+    Candidates are scored in ascending order and the first with the most
+    hits wins, so ties resolve toward the smallest sigma. Runs entirely on the
     given data; callers pass their training split only. Each inner split is
     fitted once: the fitted state does not depend on sigma, so every
     candidate reuses it.
@@ -131,7 +130,6 @@ def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -
     y = np.asarray(y, dtype=int)
     assignment = stratified_folds(y, folds, seed)
     correct = [0] * len(grid)
-    total = 0
     for f in range(folds):
         test = assignment == f
         if not np.any(test) or np.all(test):
@@ -143,15 +141,7 @@ def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -
         for i, sigma in enumerate(grid):
             labels, _ = replace(model, sigma=sigma).predict_batch(X_test)
             correct[i] += int(np.count_nonzero(labels == y_test))
-        total += y_test.size
-    best_sigma = grid[0]
-    best_score = -1.0
-    for sigma, hits in zip(grid, correct):
-        score = hits / total if total else 0.0
-        if score > best_score:
-            best_score = score
-            best_sigma = sigma
-    return best_sigma
+    return grid[int(np.argmax(correct))]
 
 
 def kfold_cv(
@@ -160,7 +150,6 @@ def kfold_cv(
     k: int = 10,
     config: PnnConfig = PnnConfig(),
     seed: int = 0,
-    n_classes: int | None = None,
 ) -> EvalReport:
     """Stratified k-fold evaluation pooling one confusion matrix.
 
@@ -174,7 +163,7 @@ def kfold_cv(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     assignment = kfold_assignment(y, k, seed)
-    C = int(n_classes) if n_classes is not None else int(y.max())
+    C = int(y.max())
     cm = np.zeros((C, C), dtype=int)
     for f in range(k):
         test = assignment == f
@@ -191,12 +180,7 @@ def kfold_cv(
         model = fit_pnn(X_train, y_train, sigma, n_classes=C)
         labels, _ = model.predict_batch(X[test])
         cm += confusion_matrix(y[test], labels, n_classes=C)
-    return EvalReport(
-        confusion=cm,
-        alpha=accuracy(cm),
-        kappa=kappa(cm),
-        folds=k,
-    )
+    return EvalReport(confusion=cm, alpha=accuracy(cm), kappa=kappa(cm))
 
 
 def monte_carlo(
@@ -206,7 +190,6 @@ def monte_carlo(
     runs: int = 10,
     base_seed: int = 0,
     config: PnnConfig = PnnConfig(),
-    n_classes: int | None = None,
 ) -> MonteCarloResult:
     """Repeat kfold_cv with seeds base_seed..base_seed+runs-1.
 
@@ -219,7 +202,7 @@ def monte_carlo(
     kappas = np.empty(runs)
     confusion = None
     for r in range(runs):
-        report = kfold_cv(X, y, k=k, config=config, seed=base_seed + r, n_classes=n_classes)
+        report = kfold_cv(X, y, k=k, config=config, seed=base_seed + r)
         alphas[r] = report.alpha
         kappas[r] = report.kappa
         confusion = report.confusion if confusion is None else confusion + report.confusion

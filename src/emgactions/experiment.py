@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from emgactions.features.assemble import FeatureConfig
-from emgactions.features.crosschannel import DEFAULT_PAIRS
 from emgactions.pnn import DEFAULT_SIGMA_GRID, PnnConfig
 
 
@@ -16,18 +15,13 @@ class ExperimentConfig:
     """Every tunable of the pipeline, with reproduction-ready defaults.
 
     The defaults match the standard physical-action setup: full-trial
-    window, 8 channels, 10 spectral bands, 10-fold CV.
+    window, 8 channels, 10 spectral bands, 10-fold CV. The extraction
+    settings are the one FeatureConfig in ``features``.
     """
 
     manifest: str | None = None
     channels: int = 8
-    window: int | None = None
-    ar_order: int = 4
-    psd_grid: int = 100
-    n_bands: int = 10
-    lbp_window: int = 8
-    lbp_threshold: int = 127
-    pairs: tuple = DEFAULT_PAIRS
+    features: FeatureConfig = FeatureConfig()
     sigma: float | None = None
     sigma_grid: tuple = DEFAULT_SIGMA_GRID
     selection_folds: int = 5
@@ -40,17 +34,6 @@ class ExperimentConfig:
     sfs_sigma: float = 0.3
     out: str = "."
 
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(
-            window=self.window,
-            ar_order=self.ar_order,
-            psd_grid=self.psd_grid,
-            n_bands=self.n_bands,
-            lbp_window=self.lbp_window,
-            lbp_threshold=self.lbp_threshold,
-            pairs=self.pairs,
-        )
-
     def pnn_config(self) -> PnnConfig:
         return PnnConfig(
             sigma=self.sigma,
@@ -60,9 +43,11 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        """Flat, JSON-ready view of every resolved setting."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["pairs"] = ["%d-%d" % p for p in self.pairs]
+        """Flat, JSON-ready view of every resolved setting, the feature
+        settings beside the others."""
+        out = asdict(self)
+        out.update(out.pop("features"))
+        out["pairs"] = ["%d-%d" % p for p in self.features.pairs]
         out["sigma_grid"] = list(self.sigma_grid)
         return out
 
@@ -137,7 +122,8 @@ def read_config(path: str) -> ExperimentConfig:
     """Read a flat ``key = value`` config file.
 
     Lines are ``key = value``; '#' starts a comment. Keys match the
-    ExperimentConfig field names. ``window = full`` and ``sigma = auto``
+    ExperimentConfig field names, and the FeatureConfig field names, which
+    set ``features``. ``window = full`` and ``sigma = auto``
     select the defaults explicitly. Relative manifest/out paths are resolved
     against the config file's directory.
     """
@@ -160,20 +146,24 @@ def read_config(path: str) -> ExperimentConfig:
     return cfg
 
 
+_FEATURE_KEYS = {f.name for f in fields(FeatureConfig)}
+
+
 def _apply_key(cfg: ExperimentConfig, key: str, value: str, base: str) -> ExperimentConfig:
     if key in ("manifest", "out"):
-        resolved = value if os.path.isabs(value) else os.path.join(base, value)
-        return replace(cfg, **{key: resolved})
-    if key == "window":
-        return replace(cfg, window=None if value.lower() == "full" else _integer(key, value))
-    if key == "sigma":
-        return replace(cfg, sigma=None if value.lower() == "auto" else _sigma(key, value))
-    if key == "sfs_sigma":
-        return replace(cfg, sfs_sigma=_sigma(key, value))
-    if key == "pairs":
-        return replace(cfg, pairs=_parse_pairs(value))
-    if key == "sigma_grid":
-        return replace(cfg, sigma_grid=_parse_grid(value))
-    if key in _INT_KEYS:
-        return replace(cfg, **{key: _integer(key, value)})
-    raise ValueError(f"unknown key {key!r}")
+        parsed = value if os.path.isabs(value) else os.path.join(base, value)
+    elif (key, value.lower()) in (("window", "full"), ("sigma", "auto")):
+        parsed = None
+    elif key in ("sigma", "sfs_sigma"):
+        parsed = _sigma(key, value)
+    elif key == "pairs":
+        parsed = _parse_pairs(value)
+    elif key == "sigma_grid":
+        parsed = _parse_grid(value)
+    elif key in _INT_KEYS:
+        parsed = _integer(key, value)
+    else:
+        raise ValueError(f"unknown key {key!r}")
+    if key in _FEATURE_KEYS:
+        return replace(cfg, features=replace(cfg.features, **{key: parsed}))
+    return replace(cfg, **{key: parsed})

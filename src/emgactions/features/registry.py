@@ -82,7 +82,6 @@ class FeatureRegistry:
 def build_registry(
     channels: int = 8,
     pairs=DEFAULT_PAIRS,
-    lmf_count: int = LMF_COUNT,
     n_bands: int = 10,
     lbp_threshold: int = LBP_THRESHOLD,
 ) -> FeatureRegistry:
@@ -104,8 +103,8 @@ def build_registry(
     for q, (i, j) in enumerate(pairs, start=1):
         add("ics", None, (i, j), q, f"ics_ch{i}_ch{j}")
     for ch in range(1, channels + 1):
-        for q in range(1, lmf_count + 1):
-            add("lmf", ch, None, (ch - 1) * lmf_count + q, f"lmf_ch{ch}_f{q}")
+        for q in range(1, LMF_COUNT + 1):
+            add("lmf", ch, None, (ch - 1) * LMF_COUNT + q, f"lmf_ch{ch}_f{q}")
     for ch in range(1, channels + 1):
         for q in range(1, n_bands + 1):
             add("sbp", ch, None, (ch - 1) * n_bands + q, f"sbp_ch{ch}_band{q}")

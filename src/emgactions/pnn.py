@@ -45,33 +45,6 @@ class EmptyClassWarning(UserWarning):
     """A label in 1..C has no training exemplar; it can never be predicted."""
 
 
-@dataclass
-class Normalizer:
-    """Per-feature z-scoring with statistics from the training data only.
-
-    Zero-variance features keep scale 1, so they map to exactly 0.
-    """
-
-    mean: np.ndarray
-    scale: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.scale = np.asarray(self.scale, dtype=float)
-
-    @classmethod
-    def fit(cls, X) -> "Normalizer":
-        X = np.asarray(X, dtype=float)
-        mean = X.mean(axis=0)
-        scale = X.std(axis=0)
-        scale = np.where(scale == 0.0, 1.0, scale)
-        return cls(mean, scale)
-
-    def transform(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return (X - self.mean) / self.scale
-
-
 @dataclass(frozen=True)
 class PnnConfig:
     """How to train the classifier inside an evaluation fold.
@@ -91,7 +64,9 @@ class PnnModel:
     """Fitted classifier state.
 
     Attributes:
-        normalizer: training-split z-scoring statistics.
+        mean: (D,) training-split column means.
+        scale: (D,) training-split column standard deviations; 1 where a
+            column has zero variance, so it maps to exactly 0.
         exemplars: (N, D) normalized training vectors, stably sorted by label,
             so each class's rows are contiguous and keep their training order.
         class_ids: ascending class ids that have exemplars.
@@ -102,7 +77,8 @@ class PnnModel:
         n_classes: label range size C.
     """
 
-    normalizer: Normalizer
+    mean: np.ndarray
+    scale: np.ndarray
     exemplars: np.ndarray
     class_ids: np.ndarray
     counts: np.ndarray
@@ -112,7 +88,7 @@ class PnnModel:
 
     @property
     def n_features(self) -> int:
-        return self.normalizer.mean.size
+        return self.mean.size
 
     def predict_batch(self, X):
         """Classify rows of X; returns (labels (n,), posteriors (n, C)).
@@ -134,7 +110,7 @@ class PnnModel:
                 f"expected {self.n_features} features, got shape {X.shape}"
             )
         _require_finite(X, "query")
-        Xn = self.normalizer.transform(X)
+        Xn = (X - self.mean) / self.scale
         E = self.exemplars
         # Every step works in place on the one (n, N) buffer: a temporary per
         # step pushes it out of cache and costs more than the arithmetic.
@@ -270,11 +246,14 @@ def fit_pnn(X, y, sigma: float, n_classes: int | None = None) -> PnnModel:
             EmptyClassWarning,
             stacklevel=2,
         )
-    normalizer = Normalizer.fit(X)
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale = np.where(scale == 0.0, 1.0, scale)
     class_ids = np.flatnonzero(per_class) + 1
     return PnnModel(
-        normalizer=normalizer,
-        exemplars=normalizer.transform(X[np.argsort(y, kind="stable")]),
+        mean=mean,
+        scale=scale,
+        exemplars=(X[np.argsort(y, kind="stable")] - mean) / scale,
         class_ids=class_ids,
         counts=per_class[class_ids - 1],
         sigma=sigma,

@@ -53,15 +53,16 @@ def cv_accuracy_criterion(
     X,
     y,
     k: int = 3,
-    config: PnnConfig = PnnConfig(sigma=0.3),
+    sigma: float = 0.3,
     seed: int = 0,
 ):
     """Build the default SFS criterion: seeded k-fold CV accuracy.
 
     The returned callable maps a tuple of 1-based feature indices to the
     pooled k-fold accuracy of the classifier restricted to those columns,
-    ``kfold_cv(X[:, cols], y, k, config, seed).alpha``. The internal seed is
-    fixed so candidate scores are comparable within a selection run.
+    ``kfold_cv(X[:, cols], y, k, PnnConfig(sigma), seed).alpha``. The
+    internal seed is fixed so candidate scores are comparable within a
+    selection run.
 
     The folds, each fold's z-scoring statistics (fit on all of its training
     columns) and its class-sorted exemplar order are built once. Z-scoring
@@ -80,9 +81,8 @@ def cv_accuracy_criterion(
     them.
 
     Raises:
-        ValueError: config.sigma is None (the criterion needs a fixed
-            width), k < 2, or a value of X is NaN or infinite (named by its
-            row in a fold's training rows and its column).
+        ValueError: k < 2, or a value of X is NaN or infinite (named by
+            its row in a fold's training rows and its column).
         NonFiniteScoreError: raised by a call whose squared distances
             overflow for some row of X, which the message names.
         NonPositiveSigmaError: sigma is not finite and > 0.
@@ -90,11 +90,9 @@ def cv_accuracy_criterion(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    if config.sigma is None:
-        raise ValueError("the selection criterion needs a fixed sigma")
     assignment = kfold_assignment(y, k, seed)
     C = int(y.max())
-    folds = [_Fold(X, y, assignment == f, config.sigma, C) for f in range(k)]
+    folds = [_Fold(X, y, assignment == f, sigma, C) for f in range(k)]
     caches = [np.zeros(fold.shape) for fold in folds]
     buffer = np.empty(max(cache.size for cache in caches))
     cached: list[int] = []
@@ -150,8 +148,8 @@ class _Fold:
         self.y_test = y[test]
         self.exemplars = train[np.argsort(y[train], kind="stable")]
         self.shape = (self.test.size, train.size)
-        self.mean = model.normalizer.mean
-        self.scale = model.normalizer.scale
+        self.mean = model.mean
+        self.scale = model.scale
         self.sigma = model.sigma
         self.priors = model.priors
         self.class_ids = model.class_ids
@@ -160,7 +158,7 @@ class _Fold:
     def squared_differences(self, c: int, buffer) -> np.ndarray:
         """(x_c - e_c)^2 for every (test row, exemplar) pair, in buffer.
 
-        Column c is z-scored as Normalizer.transform does.
+        Column c is z-scored as PnnModel.predict_batch does.
         """
         mean, scale = self.mean[c], self.scale[c]
         x = (self.X[self.test, c] - mean) / scale

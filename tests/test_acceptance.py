@@ -115,9 +115,7 @@ def test_acceptance_4_synthetic_end_to_end():
             [rng.choice(np.flatnonzero(y == c), 15, replace=False) for c in range(1, 21)]
         )
     )
-    criterion = cv_accuracy_criterion(
-        X[keep], y[keep], k=3, config=PnnConfig(sigma=0.3), seed=0
-    )
+    criterion = cv_accuracy_criterion(X[keep], y[keep], k=3, sigma=0.3, seed=0)
     trace = sfs(X[keep], y[keep], criterion=criterion, max_features=8, patience=1)
     assert 1 <= len(trace) <= 8
     assert all(registry[i].touches_channel(1) for i in trace.selected)
@@ -274,7 +272,7 @@ def test_acceptance_6_invariant_selection_monotonicity():
         d = int(rng.integers(2, 5))
         X = rng.normal(0, 1, (n, d))
         y = np.tile([1, 2], n // 2)
-        criterion = cv_accuracy_criterion(X, y, k=2, config=PnnConfig(sigma=0.5), seed=case)
+        criterion = cv_accuracy_criterion(X, y, k=2, sigma=0.5, seed=case)
         trace = sfs(X, y, criterion=criterion, max_features=d)
         assert len(trace) >= 1
         scores = trace.scores

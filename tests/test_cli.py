@@ -504,7 +504,29 @@ class TestConfig:
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("window = full\nsigma = auto\nsigma_grid = 0.1, 0.5\npairs = 1-2; 3-4\n")
         parsed = read_config(str(cfg))
-        assert parsed.window is None
+        assert parsed.features.window is None
         assert parsed.sigma is None
         assert parsed.sigma_grid == (0.1, 0.5)
-        assert parsed.pairs == ((1, 2), (3, 4))
+        assert parsed.features.pairs == ((1, 2), (3, 4))
+
+    def test_feature_keys_reach_features(self, tmp_path):
+        from emgactions.experiment import ExperimentConfig, read_config
+        from emgactions.features.assemble import FeatureConfig
+
+        cfg = tmp_path / "features.cfg"
+        cfg.write_text(
+            "window = 64\nar_order = 3\npsd_grid = 60\nn_bands = 6\n"
+            "lbp_window = 5\nlbp_threshold = 20\npairs = 1-2; 5-8\nruns = 4\n"
+        )
+        parsed = read_config(str(cfg))
+        features = FeatureConfig(
+            window=64, ar_order=3, psd_grid=60, n_bands=6,
+            lbp_window=5, lbp_threshold=20, pairs=((1, 2), (5, 8)),
+        )
+        assert parsed == ExperimentConfig(features=features, runs=4)
+        flat = ExperimentConfig().to_dict()
+        flat.update(
+            window=64, ar_order=3, psd_grid=60, n_bands=6,
+            lbp_window=5, lbp_threshold=20, pairs=["1-2", "5-8"], runs=4,
+        )
+        assert parsed.to_dict() == flat

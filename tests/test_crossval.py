@@ -43,7 +43,6 @@ class TestKfold:
         assert report.alpha == 1.0
         assert report.kappa == 1.0
         assert np.array_equal(report.confusion, np.diag([20, 20, 20]))
-        assert report.folds == 10
 
     def test_confusion_total_counts_every_sample_once(self):
         X, y = blobs(n_per_class=9, n_classes=4, spread=2.0, seed=2)

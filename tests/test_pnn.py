@@ -12,7 +12,6 @@ from emgactions.pnn import (
     EmptyClassWarning,
     NonFiniteScoreError,
     NonPositiveSigmaError,
-    Normalizer,
     PnnModel,
     classify_distances,
     fit_pnn,
@@ -21,25 +20,25 @@ from ._synth import blobs
 
 
 class TestNormalizer:
+    """fit_pnn's z-scoring: statistics from the training rows only."""
+
     def test_fit_transform_standardizes(self):
         rng = np.random.default_rng(0)
         X = rng.normal(3, 5, (200, 4))
-        norm = Normalizer.fit(X)
-        Z = norm.transform(X)
+        Z = fit_pnn(X, np.ones(200, dtype=int), sigma=0.5).exemplars
         assert np.allclose(Z.mean(axis=0), 0, atol=1e-12)
         assert np.allclose(Z.std(axis=0), 1, atol=1e-12)
 
     def test_constant_column_maps_to_zero(self):
         X = np.column_stack([np.full(10, 7.0), np.arange(10.0)])
-        norm = Normalizer.fit(X)
-        Z = norm.transform(X)
-        assert np.array_equal(Z[:, 0], np.zeros(10))
-        assert norm.scale[0] == 1.0
+        model = fit_pnn(X, np.ones(10, dtype=int), sigma=0.5)
+        assert np.array_equal(model.exemplars[:, 0], np.zeros(10))
+        assert model.scale[0] == 1.0
 
     def test_transform_single_vector(self):
         X = np.array([[0.0, 0.0], [2.0, 4.0]])
-        norm = Normalizer.fit(X)
-        assert np.allclose(norm.transform(np.array([1.0, 2.0])), [0.0, 0.0])
+        model = fit_pnn(X, np.array([1, 2]), sigma=0.5)
+        assert np.allclose((np.array([1.0, 2.0]) - model.mean) / model.scale, [0.0, 0.0])
 
 
 class TestFit:
@@ -52,7 +51,7 @@ class TestFit:
         assert model.counts.tolist() == [5, 5, 5]
         # class-sorted, each class keeping its training order
         stable = np.argsort(y[order], kind="stable")
-        assert np.array_equal(model.exemplars, model.normalizer.transform(X[order][stable]))
+        assert np.array_equal(model.exemplars, (X[order][stable] - model.mean) / model.scale)
         assert model.priors.tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
     def test_nonpositive_sigma_rejected(self):
@@ -145,12 +144,11 @@ class TestPredict:
         y = rng.integers(1, 4, 30)
         y[:3] = [1, 2, 3]  # every class present
         model = fit_pnn(X, y, sigma=1e-3)
-        norm = Normalizer.fit(X)
-        Z = norm.transform(X)
+        Z = (X - X.mean(axis=0)) / X.std(axis=0)
         Q = rng.normal(0, 1, (20, 3))
         labels, _ = model.predict_batch(Q)
         for q, got in zip(Q, labels):
-            d = np.linalg.norm(Z - norm.transform(q), axis=1)
+            d = np.linalg.norm(Z - (q - X.mean(axis=0)) / X.std(axis=0), axis=1)
             assert got == y[np.argmin(d)]
 
     def test_far_query_keeps_valid_posterior(self):
@@ -174,7 +172,7 @@ class TestPredict:
         X = np.array([[0.0, 0.0], [1e-160, 1.0], [0.0, 2.0], [1e-160, 3.0]])
         y = np.array([1, 1, 2, 2])
         model = fit_pnn(X, y, sigma=0.5)
-        assert model.normalizer.scale[0] == pytest.approx(5e-161)
+        assert model.scale[0] == pytest.approx(5e-161)
         Q = np.array([[0.0, 1.0], [1e-3, 1.0], [1e-3, 2.0]])
         with pytest.raises(
             NonFiniteScoreError,

@@ -17,7 +17,8 @@ from emgactions.selection import (
 
 from ._synth import blobs
 
-FIXED = PnnConfig(sigma=0.3)
+SIGMA = 0.3
+FIXED = PnnConfig(sigma=SIGMA)
 
 
 def labeled_noise(n_per=20, n_cols=45, informative=(0,), seed=0):
@@ -33,13 +34,13 @@ def labeled_noise(n_per=20, n_cols=45, informative=(0,), seed=0):
 class TestCriterion:
     def test_informative_column_scores_higher(self):
         X, y = labeled_noise(n_cols=3, informative=(1,), seed=1)
-        crit = cv_accuracy_criterion(X, y, k=3, config=FIXED, seed=0)
+        crit = cv_accuracy_criterion(X, y, k=3, sigma=SIGMA, seed=0)
         assert crit((2,)) > crit((1,))
         assert crit((2,)) > 0.9
 
     def test_deterministic(self):
         X, y = labeled_noise(n_cols=4, informative=(0,), seed=2)
-        crit = cv_accuracy_criterion(X, y, k=3, config=FIXED, seed=0)
+        crit = cv_accuracy_criterion(X, y, k=3, sigma=SIGMA, seed=0)
         assert crit((1, 3)) == crit((1, 3))
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -51,7 +52,7 @@ class TestCriterion:
         X, y = blobs(n_per_class=12, n_classes=3, dim=4, spread=1.5, separation=1.0, seed=k)
         X = np.hstack([X, rng.integers(0, 3, (y.size, 3)).astype(float), np.full((y.size, 1), 0.1)])
         d = X.shape[1]
-        crit = cv_accuracy_criterion(X, y, k=k, config=FIXED, seed=5)
+        crit = cv_accuracy_criterion(X, y, k=k, sigma=SIGMA, seed=5)
         selected = []
         for _ in range(60):
             move = rng.integers(4)
@@ -69,7 +70,7 @@ class TestCriterion:
         bits = np.array([(a, b, a) for a in (0, 1) for b in (0, 1)] * 9, dtype=float)
         y = 1 + (bits[:, 0] != bits[:, 1]).astype(int)
         config = PnnConfig(sigma=0.5)
-        crit = cv_accuracy_criterion(bits, y, k=k, config=config, seed=1)
+        crit = cv_accuracy_criterion(bits, y, k=k, sigma=0.5, seed=1)
         for cols in [(1,), (2,), (3,), (1, 2), (1, 3), (2, 1), (2, 3), (1, 2, 3), (3, 2, 1)]:
             expected = kfold_cv(bits[:, np.array(cols) - 1], y, k=k, config=config, seed=1).alpha
             assert crit(cols) == expected, cols
@@ -80,7 +81,7 @@ class TestCriterion:
         def reference(cols):
             return kfold_cv(X[:, np.array(cols) - 1], y, k=3, config=FIXED, seed=0).alpha
 
-        fast = sfs(X, y, cv_accuracy_criterion(X, y, k=3, config=FIXED), max_features=5, patience=5)
+        fast = sfs(X, y, cv_accuracy_criterion(X, y, k=3, sigma=SIGMA), max_features=5, patience=5)
         slow = sfs(X, y, reference, max_features=5, patience=5)
         assert len(fast) == 5
         assert fast.steps == slow.steps
@@ -89,25 +90,20 @@ class TestCriterion:
     def test_bad_sigma_rejected(self, sigma):
         X, y = labeled_noise(n_cols=3, seed=1)
         with pytest.raises(NonPositiveSigmaError):
-            cv_accuracy_criterion(X, y, config=PnnConfig(sigma=sigma))
-
-    def test_auto_sigma_rejected(self):
-        X, y = labeled_noise(n_cols=3, seed=1)
-        with pytest.raises(ValueError, match="fixed sigma"):
-            cv_accuracy_criterion(X, y, config=PnnConfig(sigma=None))
+            cv_accuracy_criterion(X, y, sigma=sigma)
 
     def test_fold_checks_kept(self):
         X, y = labeled_noise(n_per=4, n_cols=3, seed=1)
         with pytest.raises(ValueError, match="k must be >= 2"):
-            cv_accuracy_criterion(X, y, k=1, config=FIXED)
+            cv_accuracy_criterion(X, y, k=1, sigma=SIGMA)
         with pytest.raises(TooFewSamplesError):
-            cv_accuracy_criterion(X, y, k=5, config=FIXED)
+            cv_accuracy_criterion(X, y, k=5, sigma=SIGMA)
 
     def test_non_finite_value_named(self):
         X, y = labeled_noise(n_cols=3, seed=1)
         X[4, 2] = np.nan
         with pytest.raises(ValueError, match=r"training row \d+ column 2 is nan"):
-            cv_accuracy_criterion(X, y, k=3, config=FIXED)
+            cv_accuracy_criterion(X, y, k=3, sigma=SIGMA)
 
     def test_overflowing_distances_name_the_matrix_row(self):
         # Column 2's training spread is 5e-161 in the fold that tests row 7,
@@ -115,7 +111,7 @@ class TestCriterion:
         X, y = labeled_noise(n_cols=3, seed=1)
         X[:, 1] = np.resize([0.0, 1e-160], y.size)
         X[7, 1] = 1e-3
-        crit = cv_accuracy_criterion(X, y, k=3, config=FIXED)
+        crit = cv_accuracy_criterion(X, y, k=3, sigma=SIGMA)
         assert crit((1,)) > 0.0
         message = r"^query row 7 has no finite class score on feature indices \(1, 2\)$"
         with pytest.raises(NonFiniteScoreError, match=message):
@@ -125,20 +121,20 @@ class TestCriterion:
 class TestSfs:
     def test_picks_informative_feature_first(self):
         X, y = labeled_noise(n_cols=5, informative=(2,), seed=3)
-        trace = sfs(X, y, criterion=cv_accuracy_criterion(X, y, k=3, config=FIXED))
+        trace = sfs(X, y, criterion=cv_accuracy_criterion(X, y, k=3, sigma=SIGMA))
         assert trace.selected[0] == 3
 
     def test_xor_pair_found_within_two_steps(self):
         bits = np.array([(a, b) for a in (0, 1) for b in (0, 1)] * 10, dtype=float)
         y = 1 + (bits[:, 0] != bits[:, 1]).astype(int)
-        crit = cv_accuracy_criterion(bits, y, k=2, config=PnnConfig(sigma=0.5), seed=0)
+        crit = cv_accuracy_criterion(bits, y, k=2, sigma=0.5, seed=0)
         trace = sfs(bits, y, criterion=crit)
         assert set(trace.selected) == {1, 2}
         assert trace.scores[-1] == 1.0
 
     def test_scores_nondecreasing(self):
         X, y = labeled_noise(n_cols=6, informative=(0, 3), seed=4)
-        trace = sfs(X, y, criterion=cv_accuracy_criterion(X, y, k=3, config=FIXED))
+        trace = sfs(X, y, criterion=cv_accuracy_criterion(X, y, k=3, sigma=SIGMA))
         assert len(trace) >= 1
         assert np.all(np.diff(trace.scores) >= 0)
 
