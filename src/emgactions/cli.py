@@ -10,6 +10,7 @@ produce byte-identical files. Exit codes: 0 success, 1 internal error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -19,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from emgactions.crossval import monte_carlo
-from emgactions.dataset import load_dataset, read_manifest, scan_action_tree
+from emgactions.dataset import load_dataset, read_lines, read_manifest, scan_action_tree
 from emgactions.experiment import ExperimentConfig, _integer, read_config
 from emgactions.features.assemble import extract_feature_matrix, registry_for
 from emgactions.features.export import (
@@ -36,6 +37,7 @@ from emgactions.selection import (
     reference_selection,
     sfs,
 )
+from emgactions.pnn import NonFiniteScoreError
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -78,15 +80,41 @@ def _parse_selected(spec: str | None, n_features: int, registry=None) -> tuple:
 
 
 def _read_selected_file(path: str) -> tuple:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    reader = csv.reader(read_lines(path))
+    rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: empty selection file")
-    header = [c.strip().lower() for c in rows[0]]
+    header = [c.strip().lower() for c in rows[0][1]]
     if "index" in header:
         col = header.index("index")
-        return tuple(int(row[col]) for row in rows[1:])
-    return tuple(int(v) for row in rows for v in row)
+        for line, row in rows[1:]:
+            if len(row) <= col:
+                raise ValueError(f"{path}:{line}: no 'index' field in {len(row)} fields")
+        cells = [(line, row[col]) for line, row in rows[1:]]
+    else:
+        cells = [(line, v) for line, row in rows for v in row]
+    indices = []
+    for line, value in cells:
+        try:
+            indices.append(int(value))
+        except ValueError:
+            raise ValueError(f"{path}:{line}: feature index {value!r} is not an integer") from None
+    return tuple(indices)
+
+
+@contextlib.contextmanager
+def _scores_named(path: str, names, columns=None):
+    """Re-raise a NonFiniteScoreError naming the features.csv data row and
+    feature; columns maps the evaluated matrix's columns to the file's."""
+    try:
+        yield
+    except NonFiniteScoreError as exc:
+        exc = exc.reindexed(columns=columns)
+        raise ValueError(
+            f"{path}: data row {exc.row + 1} has no finite class score: feature "
+            f"{exc.column + 1} ({names[exc.column]}) lies {exc.spread:.3g} training "
+            "standard deviations from its mean, so its squared distances overflow"
+        ) from None
 
 
 def _check_registry(names, registry, context: str) -> None:
@@ -142,7 +170,8 @@ def cmd_select(args) -> int:
         sigma=cfg.sfs_sigma,
         seed=cfg.seed,
     )
-    trace = sfs(X, y, criterion, max_features=cfg.max_features, patience=cfg.patience)
+    with _scores_named(args.features, names):
+        trace = sfs(X, y, criterion, max_features=cfg.max_features, patience=cfg.patience)
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "selection.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -162,14 +191,15 @@ def cmd_eval(args) -> int:
         _check_registry(names, registry, args.features)
     selected = _parse_selected(args.selected, X.shape[1], registry)
     cols = np.asarray(selected, dtype=int) - 1
-    result = monte_carlo(
-        X[:, cols],
-        y,
-        k=cfg.cv_folds,
-        runs=cfg.runs,
-        base_seed=cfg.seed,
-        config=cfg.pnn_config(),
-    )
+    with _scores_named(args.features, names, cols):
+        result = monte_carlo(
+            X[:, cols],
+            y,
+            k=cfg.cv_folds,
+            runs=cfg.runs,
+            base_seed=cfg.seed,
+            config=cfg.pnn_config(),
+        )
     os.makedirs(cfg.out, exist_ok=True)
     report_path = os.path.join(cfg.out, "report.json")
     confusion_path = os.path.join(cfg.out, "confusion.csv")
@@ -203,17 +233,18 @@ def cmd_relevance(args) -> int:
     registry = registry_for(cfg.features, channels=cfg.channels)
     _check_registry(names, registry, args.features)
     selected = _parse_selected(args.selected, X.shape[1], registry)
-    results = channel_relevance(
-        X,
-        y,
-        selected,
-        registry,
-        channels=cfg.channels,
-        k=cfg.cv_folds,
-        runs=cfg.runs,
-        base_seed=cfg.seed,
-        config=cfg.pnn_config(),
-    )
+    with _scores_named(args.features, names):
+        results = channel_relevance(
+            X,
+            y,
+            selected,
+            registry,
+            channels=cfg.channels,
+            k=cfg.cv_folds,
+            runs=cfg.runs,
+            base_seed=cfg.seed,
+            config=cfg.pnn_config(),
+        )
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "relevance.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -233,15 +264,16 @@ def cmd_ablate(args) -> int:
     selected = _parse_selected(args.selected, X.shape[1], registry)
     groups = ablation_groups(selected, registry)
     groups = {name: idx for name, idx in groups.items() if idx}
-    results = ablation(
-        X,
-        y,
-        groups,
-        k=cfg.cv_folds,
-        runs=cfg.runs,
-        base_seed=cfg.seed,
-        config=cfg.pnn_config(),
-    )
+    with _scores_named(args.features, names):
+        results = ablation(
+            X,
+            y,
+            groups,
+            k=cfg.cv_folds,
+            runs=cfg.runs,
+            base_seed=cfg.seed,
+            config=cfg.pnn_config(),
+        )
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "ablation.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -8,7 +8,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from emgactions.metrics import accuracy, confusion_matrix, kappa
-from emgactions.pnn import DEFAULT_SIGMA_GRID, EmptyClassWarning, PnnConfig, check_sigma, fit_pnn
+from emgactions.pnn import (
+    DEFAULT_SIGMA_GRID,
+    EmptyClassWarning,
+    NonFiniteScoreError,
+    PnnConfig,
+    check_sigma,
+    fit_pnn,
+)
 
 
 class TooFewSamplesError(ValueError):
@@ -120,6 +127,8 @@ def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -
     Raises:
         EmptyGridError: no candidates.
         NonPositiveSigmaError: a candidate is not finite and > 0.
+        NonFiniteScoreError: an inner test row has no finite class score;
+            it names the row of X.
     """
     grid = sorted(check_sigma(s) for s in grid)
     if not grid:
@@ -138,9 +147,12 @@ def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -
             warnings.simplefilter("ignore", EmptyClassWarning)
             model = fit_pnn(X[~test], y[~test], grid[0], n_classes=int(y.max()))
         X_test, y_test = X[test], y[test]
-        for i, sigma in enumerate(grid):
-            labels, _ = replace(model, sigma=sigma).predict_batch(X_test)
-            correct[i] += int(np.count_nonzero(labels == y_test))
+        try:
+            for i, sigma in enumerate(grid):
+                labels, _ = replace(model, sigma=sigma).predict_batch(X_test)
+                correct[i] += int(np.count_nonzero(labels == y_test))
+        except NonFiniteScoreError as exc:
+            raise exc.reindexed(rows=np.flatnonzero(test)) from None
     return grid[int(np.argmax(correct))]
 
 
@@ -159,6 +171,8 @@ def kfold_cv(
 
     Raises:
         TooFewSamplesError: some class has fewer than k samples.
+        NonFiniteScoreError: a row has no finite class score, in a test
+            fold or in sigma selection; it names the row of X.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -170,15 +184,21 @@ def kfold_cv(
         X_train, y_train = X[~test], y[~test]
         sigma = config.sigma
         if sigma is None:
-            sigma = select_sigma(
-                X_train,
-                y_train,
-                config.sigma_grid,
-                folds=config.selection_folds,
-                seed=config.selection_seed,
-            )
+            try:
+                sigma = select_sigma(
+                    X_train,
+                    y_train,
+                    config.sigma_grid,
+                    folds=config.selection_folds,
+                    seed=config.selection_seed,
+                )
+            except NonFiniteScoreError as exc:
+                raise exc.reindexed(rows=np.flatnonzero(~test)) from None
         model = fit_pnn(X_train, y_train, sigma, n_classes=C)
-        labels, _ = model.predict_batch(X[test])
+        try:
+            labels, _ = model.predict_batch(X[test])
+        except NonFiniteScoreError as exc:
+            raise exc.reindexed(rows=np.flatnonzero(test)) from None
         cm += confusion_matrix(y[test], labels, n_classes=C)
     return EvalReport(confusion=cm, alpha=accuracy(cm), kappa=kappa(cm))
 

@@ -125,6 +125,36 @@ class DatasetManifest:
             seen.add(key)
 
 
+def read_lines(path: str) -> list:
+    """The lines of a UTF-8 text file, as iterating over open(path) gives them.
+
+    Raises:
+        ValueError: the file is not UTF-8; the message names the path and
+            the line of the first bad byte.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return list(fh)
+    except UnicodeDecodeError:
+        raise not_utf8_error(path) from None
+
+
+def not_utf8_error(path: str) -> ValueError:
+    """The error naming path and the line of its first byte that is not UTF-8.
+
+    Text-mode reads decode in chunks, so their errors locate the byte only
+    within a chunk; the file is read again whole to find its line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return ValueError(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 text")
+    return ValueError(f"{path}: not UTF-8 text")
+
+
 def parse_recording(text, expected_channels: int) -> np.ndarray:
     """Parse a whitespace-delimited numeric recording.
 
@@ -245,9 +275,9 @@ def read_manifest(path: str) -> DatasetManifest:
     Raises:
         MissingFileError: manifest file absent.
         ValueError: malformed line, unknown key, a ``trials`` or
-            ``channels`` value that is not an integer >= 1, or an entry id
-            that is not a nonnegative integer; the message starts with
-            ``path:line``.
+            ``channels`` value that is not an integer >= 1, an entry id
+            that is not a nonnegative integer, or a byte that is not UTF-8;
+            the message starts with ``path:line``.
     """
     if not os.path.isfile(path):
         raise MissingFileError(f"manifest not found: {path}")
@@ -255,28 +285,27 @@ def read_manifest(path: str) -> DatasetManifest:
     root = base
     counts = {"trials": 15, "channels": 8}
     entries: list[ManifestEntry] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{path}:{line_no}"
-            if "=" not in line:
-                raise ValueError(f"{where}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key == "root":
-                root = value if os.path.isabs(value) else os.path.join(base, value)
-            elif key in counts:
-                if not value.isdecimal() or int(value) < 1:
-                    raise ValueError(f"{where}: {key} must be an integer >= 1, got {value!r}")
-                counts[key] = int(value)
-            elif key == "entry":
-                parts = value.rsplit(None, 2)
-                if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
-                    raise ValueError(f"{where}: entry needs '<path> <int subject> <int label>'")
-                entries.append(ManifestEntry(parts[0], int(parts[1]), int(parts[2])))
-            else:
-                raise ValueError(f"{where}: unknown key {key!r}")
+    for line_no, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{path}:{line_no}"
+        if "=" not in line:
+            raise ValueError(f"{where}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "root":
+            root = value if os.path.isabs(value) else os.path.join(base, value)
+        elif key in counts:
+            if not value.isdecimal() or int(value) < 1:
+                raise ValueError(f"{where}: {key} must be an integer >= 1, got {value!r}")
+            counts[key] = int(value)
+        elif key == "entry":
+            parts = value.rsplit(None, 2)
+            if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
+                raise ValueError(f"{where}: entry needs '<path> <int subject> <int label>'")
+            entries.append(ManifestEntry(parts[0], int(parts[1]), int(parts[2])))
+        else:
+            raise ValueError(f"{where}: unknown key {key!r}")
     return DatasetManifest(root, entries, counts["trials"], counts["channels"])
 
 
@@ -296,6 +325,8 @@ def load_dataset(manifest: DatasetManifest) -> Iterator[Recording]:
         MissingFileError: an entry path does not exist; raised by the call.
         MalformedLineError, EmptyRecordingError, TooShortError: raised
             during iteration, with the file path prepended to the message.
+        ValueError: raised during iteration for a file that is not UTF-8,
+            naming its path and line.
     """
     paths = [os.path.join(manifest.root, entry.path) for entry in manifest.entries]
     for full in paths:
@@ -312,8 +343,7 @@ def _read_recordings(manifest: DatasetManifest, paths: list) -> Iterator[Recordi
 
 def _read_trials(full: str, manifest: DatasetManifest) -> np.ndarray:
     try:
-        with open(full, "r", encoding="utf-8") as fh:
-            samples = parse_recording(fh, manifest.channels)
+        samples = parse_recording(read_lines(full), manifest.channels)
         return split_trials(samples, manifest.trials_per_file)
     except (MalformedLineError, EmptyRecordingError, TooShortError) as exc:
         exc.args = (f"{full}: {exc}",)

@@ -6,6 +6,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
 
+from emgactions.dataset import read_lines
 from emgactions.features.assemble import FeatureConfig
 from emgactions.pnn import DEFAULT_SIGMA_GRID, PnnConfig
 
@@ -131,18 +132,17 @@ def read_config(path: str) -> ExperimentConfig:
         raise FileNotFoundError(f"config not found: {path}")
     base = os.path.dirname(os.path.abspath(path))
     cfg = ExperimentConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            try:
-                cfg = _apply_key(cfg, key, value, base)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    for line_no, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{line_no}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        try:
+            cfg = _apply_key(cfg, key, value, base)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     return cfg
 
 

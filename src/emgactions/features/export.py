@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 
+from emgactions.dataset import not_utf8_error, read_lines
 from emgactions.features.registry import FeatureRegistry
 
 META_COLUMNS = ("subject_id", "trial_index", "label")
@@ -46,9 +47,9 @@ def read_feature_csv(path: str):
     Raises:
         ValueError: a malformed header or row, a cell that does not parse
             (a feature that is not a number, or a subject id, trial index
-            or label that is not an integer), or a NaN or infinite feature
-            value; the message names the file and line, and the column of
-            a bad cell.
+            or label that is not an integer), a NaN or infinite feature
+            value, or a byte that is not UTF-8; the message names the file
+            and line, and the column of a bad cell.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = _read_header(csv.reader(fh), path)
@@ -62,6 +63,7 @@ def read_feature_csv(path: str):
                 warnings.simplefilter("error", DeprecationWarning)
                 rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except (ValueError, DeprecationWarning):
+            # A UnicodeDecodeError is a ValueError: the row reader names it.
             rows = None
     if rows is None or rows.size == 0 or not np.isfinite(rows["X"]).all():
         return _read_lines(path)
@@ -75,7 +77,10 @@ def read_feature_csv(path: str):
 
 
 def _read_header(reader, path: str) -> list:
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except UnicodeDecodeError:
+        raise not_utf8_error(path) from None
     if header is None or len(header) < len(META_COLUMNS) + 1:
         raise ValueError(f"{path}: missing or too-short header")
     if tuple(header[-3:]) != META_COLUMNS:
@@ -85,24 +90,23 @@ def _read_header(reader, path: str) -> list:
 
 def _read_lines(path: str):
     # The reference reader: slow, but it names the first bad line and cell.
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader, path)
-        names = header[:-3]
-        rows, labels, subjects, trials, line_nos = [], [], [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row[:-3]])
-                subjects.append(int(row[-3]))
-                trials.append(int(row[-2]))
-                labels.append(int(row[-1]))
-            except ValueError:
-                raise _cell_error(f"{path}:{line_no}", header, row) from None
-            line_nos.append(line_no)
+    reader = csv.reader(read_lines(path))
+    header = _read_header(reader, path)
+    names = header[:-3]
+    rows, labels, subjects, trials, line_nos = [], [], [], [], []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
+        try:
+            rows.append([float(v) for v in row[:-3]])
+            subjects.append(int(row[-3]))
+            trials.append(int(row[-2]))
+            labels.append(int(row[-1]))
+        except ValueError:
+            raise _cell_error(f"{path}:{line_no}", header, row) from None
+        line_nos.append(line_no)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     X = np.array(rows, dtype=float)

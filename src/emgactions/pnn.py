@@ -33,12 +33,42 @@ class NonFiniteScoreError(ValueError):
     """A query's class scores are not finite, so it has no label.
 
     Attributes:
-        row: the query's row in the distance matrix.
+        row: the query's row in the matrix the raising call was given.
+        column: the column whose normalized value lies farthest from its
+            training mean, or None where only distances were given.
+        spread: that normalized value, in training standard deviations.
     """
 
-    def __init__(self, row: int, detail: str = ""):
+    def __init__(self, row: int, column: int | None = None, spread: float = 0.0):
         self.row = row
+        self.column = column
+        self.spread = spread
+        detail = ""
+        if column is not None:
+            detail = (
+                f": column {column} lies {spread:.3g} training standard deviations "
+                "from its mean, so its squared distances overflow"
+            )
         super().__init__(f"query row {row} has no finite class score{detail}")
+
+    def reindexed(self, rows=None, columns=None) -> "NonFiniteScoreError":
+        """This error with its row looked up in rows and its column in columns.
+
+        A caller that passed X[rows] or X[:, columns] on re-raises the
+        result, so the error names a row and column of X.
+        """
+        row = self.row if rows is None else int(rows[self.row])
+        column = self.column
+        if columns is not None and column is not None:
+            column = int(columns[column])
+        return NonFiniteScoreError(row, column, self.spread)
+
+
+def overflow_error(row: int, z) -> NonFiniteScoreError:
+    """The error for query row whose normalized values are z, naming the
+    column that lies farthest from its training mean."""
+    column = int(np.argmax(np.abs(z)))
+    return NonFiniteScoreError(row, column, float(z[column]))
 
 
 class EmptyClassWarning(UserWarning):
@@ -66,7 +96,8 @@ class PnnModel:
     Attributes:
         mean: (D,) training-split column means.
         scale: (D,) training-split column standard deviations; 1 where a
-            column has zero variance, so it maps to exactly 0.
+            column is constant or its deviation underflows to 0, so a
+            query's value there moves every distance alike.
         exemplars: (N, D) normalized training vectors, stably sorted by label,
             so each class's rows are contiguous and keep their training order.
         class_ids: ascending class ids that have exemplars.
@@ -124,12 +155,7 @@ class PnnModel:
                 k, self.sigma, self.counts, self.class_ids, self.priors, self.n_classes
             )
         except NonFiniteScoreError as exc:
-            c = int(np.argmax(np.abs(Xn[exc.row])))
-            raise NonFiniteScoreError(
-                exc.row,
-                f": column {c} lies {float(Xn[exc.row, c]):.3g} training standard "
-                "deviations from its mean, so its squared distances overflow",
-            ) from None
+            raise overflow_error(exc.row, Xn[exc.row]) from None
 
 
 def classify_distances(d2, sigma, counts, class_ids, priors, n_classes):
@@ -247,8 +273,11 @@ def fit_pnn(X, y, sigma: float, n_classes: int | None = None) -> PnnModel:
             stacklevel=2,
         )
     mean = X.mean(axis=0)
-    scale = X.std(axis=0)
-    scale = np.where(scale == 0.0, 1.0, scale)
+    std = X.std(axis=0)
+    # A constant column's std can be a rounding residue such as 1e-15, and
+    # one whose squared deviations underflow has std 0; dividing by either
+    # would blow a query's slightest offset there up.
+    scale = np.where((X.max(axis=0) == X.min(axis=0)) | (std == 0.0), 1.0, std)
     class_ids = np.flatnonzero(per_class) + 1
     return PnnModel(
         mean=mean,

@@ -16,7 +16,13 @@ from emgactions.crossval import kfold_cv  # noqa: F401 - perfbench/tracing.py pa
 from emgactions.features.registry import BadIndexError, FeatureRegistry
 from emgactions.features.spectral import LMF_COUNT
 from emgactions.metrics import accuracy, confusion_matrix, kappa
-from emgactions.pnn import NonFiniteScoreError, PnnConfig, classify_distances, fit_pnn
+from emgactions.pnn import (
+    NonFiniteScoreError,
+    PnnConfig,
+    classify_distances,
+    fit_pnn,
+    overflow_error,
+)
 
 
 class NoFeaturesError(ValueError):
@@ -84,7 +90,8 @@ def cv_accuracy_criterion(
         ValueError: k < 2, or a value of X is NaN or infinite (named by
             its row in a fold's training rows and its column).
         NonFiniteScoreError: raised by a call whose squared distances
-            overflow for some row of X, which the message names.
+            overflow for some row of X; it names that row and the column
+            of X farthest from its training mean.
         NonPositiveSigmaError: sigma is not finite and > 0.
         TooFewSamplesError: some class has fewer than k samples.
     """
@@ -122,10 +129,9 @@ def cv_accuracy_criterion(
                     d2, fold.sigma, fold.counts, fold.class_ids, fold.priors, C
                 )
             except NonFiniteScoreError as exc:
-                raise NonFiniteScoreError(
-                    int(fold.test[exc.row]),
-                    f" on feature indices {tuple(c + 1 for c in cols)}",
-                ) from None
+                row = fold.test[exc.row]
+                z = (X[row, cols] - fold.mean[cols]) / fold.scale[cols]
+                raise overflow_error(exc.row, z).reindexed(fold.test, cols) from None
             correct += int(np.count_nonzero(labels == fold.y_test))
         return correct / y.size
 
@@ -262,6 +268,10 @@ def channel_relevance(
 
     If omitting a channel empties the feature set entirely, that channel is
     scored by a constant-prediction fallback (kappa 0) and a warning.
+
+    Raises:
+        NonFiniteScoreError: a row has no finite class score; it names the
+            row and column of X.
     """
     if len(selected) == 0:
         raise NoFeaturesError("selected feature set is empty")
@@ -288,9 +298,12 @@ def channel_relevance(
             results.append(_constant_prediction_result(y, k, runs, base_seed, n_classes))
             continue
         cols = np.asarray(kept, dtype=int) - 1
-        results.append(
-            monte_carlo(X[:, cols], y, k=k, runs=runs, base_seed=base_seed, config=config)
-        )
+        try:
+            results.append(
+                monte_carlo(X[:, cols], y, k=k, runs=runs, base_seed=base_seed, config=config)
+            )
+        except NonFiniteScoreError as exc:
+            raise exc.reindexed(columns=cols) from None
     return results
 
 
@@ -311,6 +324,8 @@ def ablation(
 
     Raises:
         BadIndexError: an index falls outside the matrix columns.
+        NonFiniteScoreError: a row has no finite class score; it names the
+            row and column of X.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -327,9 +342,11 @@ def ablation(
         if not cumulative:
             raise NoFeaturesError(f"group {name!r} leaves no features to evaluate")
         cols = np.asarray(sorted(cumulative), dtype=int) - 1
-        results.append(
-            (name, monte_carlo(X[:, cols], y, k=k, runs=runs, base_seed=base_seed, config=config))
-        )
+        try:
+            result = monte_carlo(X[:, cols], y, k=k, runs=runs, base_seed=base_seed, config=config)
+        except NonFiniteScoreError as exc:
+            raise exc.reindexed(columns=cols) from None
+        results.append((name, result))
     return results
 
 

@@ -73,6 +73,19 @@ def rows_of(path):
         return list(csv.reader(fh))
 
 
+def tiny_spread_features(workspace, tmp_path):
+    """features.csv whose column 41 spreads 5e-161, except data row 4's 1e-3:
+    that row's squared distances overflow instead of scoring a label."""
+    rows = rows_of(workspace["features"])
+    for i, row in enumerate(rows[1:]):
+        row[40] = repr(1e-160 * (i % 2))
+    rows[4][40] = repr(1e-3)
+    bad = tmp_path / "features.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return bad
+
+
 class TestExtract:
     def test_outputs_match_dataset(self, workspace):
         X, y, subjects, trials, names = read_feature_csv(workspace["features"])
@@ -279,6 +292,21 @@ class TestEval:
         report = json.loads((out / "report.json").read_text())
         assert report["selected"] == [3, 9]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("step,index,name\n1,2,a\n\n2\n", ":4: no 'index' field in 1 fields"),
+            ("3\nx\n", ":2: feature index 'x' is not an integer"),
+        ],
+        ids=["short_row", "bad_cell"],
+    )
+    def test_bad_selected_file_names_line(self, workspace, tmp_path, capsys, text, message):
+        sel = tmp_path / "subset.csv"
+        sel.write_text(text)
+        assert self.run_eval(workspace, tmp_path / "eval", ("--selected", str(sel))) == 2
+        assert f"error: {sel}{message}" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
     def test_out_of_range_index(self, workspace, tmp_path, capsys):
         assert self.run_eval(workspace, tmp_path, ("--selected", "300")) == 2
         assert "300" in capsys.readouterr().err
@@ -300,15 +328,7 @@ class TestEval:
 
 
     def test_tiny_column_spread_exits_2(self, workspace, tmp_path, capsys):
-        # Column 41 spreads 5e-161 in training, so a test row's 1e-3 there
-        # overflows every squared distance instead of scoring a label.
-        rows = rows_of(workspace["features"])
-        for i, row in enumerate(rows[1:]):
-            row[40] = repr(1e-160 * (i % 2))
-        rows[4][40] = repr(1e-3)
-        bad = tmp_path / "features.csv"
-        with open(bad, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+        bad = tiny_spread_features(workspace, tmp_path)
         rc = main([
             "eval",
             "--config", str(workspace["config"]),
@@ -318,8 +338,33 @@ class TestEval:
         ])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "has no finite class score: column 1 lies 2" in err
+        assert f"error: {bad}: data row 4 has no finite class score: feature 41 (" in err
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize(
+        "command, sigma",
+        [("eval", "auto"), ("relevance", "0.5"), ("relevance", "auto"), ("ablate", "0.5"), ("select", "0.5")],
+    )
+    def test_tiny_column_spread_names_row_and_feature(self, workspace, tmp_path, capsys, command, sigma):
+        # Each re-indexing layer maps the error back to the file: fold rows,
+        # sigma-search rows, the evaluated subset's or a channel's columns.
+        bad = tiny_spread_features(workspace, tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"cv_folds = 3\nruns = 2\nsigma = {sigma}\nsfs_folds = 2\n")
+        rc = main([
+            command,
+            "--config", str(cfg),
+            "--features", str(bad),
+            *(() if command == "select" else ("--selected", "1,41")),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        name = rows_of(bad)[0][40]
+        assert (
+            f"error: {bad}: data row 4 has no finite class score: feature 41 ({name}) "
+            "lies 2e+157 training standard deviations from its mean"
+        ) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_feature_rejected(self, workspace, tmp_path, capsys, cell):
@@ -429,6 +474,40 @@ class TestAblate:
         assert rows[1][3] == ""
         for row in rows[2:]:
             float(row[3])  # parses
+
+
+@pytest.mark.parametrize(
+    "kind", ["recording", "manifest", "config", "features", "features_header", "selection"]
+)
+def test_non_utf8_input_names_path_and_line(workspace, tmp_path, capsys, kind):
+    # In the recording and in features.csv the bad byte lies past the first
+    # 8 KB decoded chunk, where a decode error's own position is misleading.
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"root = {workspace['data']}\ntrials = 3\nentry = sub1/Bowing.txt 1 1\n")
+    argv = ["extract", "--manifest", str(manifest)]
+    if kind == "recording":
+        bad, line = tmp_path / "Bowing.txt", 120
+        write_recording(bad, 1, 1)
+        manifest.write_text(f"root = {tmp_path}\ntrials = 3\nentry = Bowing.txt 1 1\n")
+    elif kind == "manifest":
+        bad, line = manifest, 2
+    elif kind.startswith("features"):
+        bad, line = tmp_path / "features.csv", 13 if kind == "features" else 1
+        bad.write_bytes(workspace["features"].read_bytes())
+        argv = ["eval", "--features", str(bad)]
+    else:
+        bad, line = tmp_path / f"{kind}.txt", 2
+        bad.write_text("1\n1\n")
+        argv = ["eval", "--features", str(workspace["features"])]
+        argv += ["--config" if kind == "config" else "--selected", str(bad)]
+        if kind == "config":
+            bad.write_text("runs = 1\n# runs\n")
+    lines = bad.read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1][:2] + b"\xff" + lines[line - 1][2:]
+    bad.write_bytes(b"\n".join(lines))
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {bad}:{line}: byte 0xff is not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestConfig:

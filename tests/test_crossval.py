@@ -4,11 +4,13 @@ import pytest
 from emgactions.crossval import (
     MonteCarloResult,
     TooFewSamplesError,
+    kfold_assignment,
     kfold_cv,
     monte_carlo,
+    select_sigma,
     stratified_folds,
 )
-from emgactions.pnn import PnnConfig
+from emgactions.pnn import NonFiniteScoreError, PnnConfig
 from ._synth import blobs
 
 FIXED = PnnConfig(sigma=0.5)
@@ -82,6 +84,22 @@ class TestKfold:
         auto = PnnConfig(sigma=None, sigma_grid=(0.2, 0.8), selection_folds=3)
         report = kfold_cv(X, y, k=3, config=auto, seed=0)
         assert report.alpha == 1.0
+
+    @pytest.mark.parametrize("sigma", [0.5, None])
+    def test_overflow_names_the_row_of_x(self, sigma):
+        # Column 1 spreads 5e-161 in training. Row r is trained on in fold 0,
+        # so with sigma=None the sigma search, testing it on an inner split,
+        # raises first; with a fixed sigma its own test fold does.
+        X, y = blobs(n_per_class=10, n_classes=2, dim=2, seed=30)
+        X[:, 1] = np.resize([0.0, 1e-160], y.size)
+        r = int(np.flatnonzero(kfold_assignment(y, 4, 2) != 0)[-1])
+        X[r, 1] = 1e-3
+        with pytest.raises(NonFiniteScoreError) as info:
+            kfold_cv(X, y, k=4, config=PnnConfig(sigma=sigma), seed=2)
+        assert (info.value.row, info.value.column) == (r, 1)
+        with pytest.raises(NonFiniteScoreError) as info:
+            select_sigma(X, y)
+        assert (info.value.row, info.value.column) == (r, 1)
 
 
 class TestMonteCarlo:

@@ -30,10 +30,19 @@ class TestNormalizer:
         assert np.allclose(Z.std(axis=0), 1, atol=1e-12)
 
     def test_constant_column_maps_to_zero(self):
-        X = np.column_stack([np.full(10, 7.0), np.arange(10.0)])
+        # The 0.1 column's std is a rounding residue of about 1e-17, not 0.
+        X = np.column_stack([np.full(10, 7.0), np.full(10, 0.1), np.arange(10.0)])
         model = fit_pnn(X, np.ones(10, dtype=int), sigma=0.5)
         assert np.array_equal(model.exemplars[:, 0], np.zeros(10))
+        assert np.abs(model.exemplars[:, 1]).max() < 1e-15
+        assert model.scale[:2].tolist() == [1.0, 1.0]
+
+    def test_underflowing_spread_keeps_scale_1(self):
+        # {0, 1e-170} is not constant, but its squared deviations underflow.
+        X = np.column_stack([np.resize([0.0, 1e-170], 10), np.arange(10.0)])
+        model = fit_pnn(X, np.ones(10, dtype=int), sigma=0.5)
         assert model.scale[0] == 1.0
+        assert np.isfinite(model.exemplars).all()
 
     def test_transform_single_vector(self):
         X = np.array([[0.0, 0.0], [2.0, 4.0]])
@@ -150,6 +159,15 @@ class TestPredict:
         for q, got in zip(Q, labels):
             d = np.linalg.norm(Z - (q - X.mean(axis=0)) / X.std(axis=0), axis=1)
             assert got == y[np.argmin(d)]
+
+    def test_constant_column_moves_no_label(self):
+        # Were the 0.1 column scaled by its 1e-17 rounding residue, a query's
+        # 0.2 or 0.0 there would swamp column 1 and label it class 1.
+        y = np.repeat([1, 2, 3], 3)
+        X = np.column_stack([np.full(9, 0.1), y + np.random.default_rng(0).normal(0, 0.1, 9)])
+        model = fit_pnn(X, y, sigma=0.5)
+        labels, _ = model.predict_batch(np.array([[0.1, 3.0], [0.2, 3.0], [0.0, 3.0]]))
+        assert labels.tolist() == [3, 3, 3]
 
     def test_far_query_keeps_valid_posterior(self):
         X, y = blobs(n_per_class=5, n_classes=2, dim=2, seed=9)
