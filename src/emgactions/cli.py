@@ -82,9 +82,7 @@ def _parse_selected(spec: str | None, n_features: int, registry=None) -> tuple:
 def _read_selected_file(path: str) -> tuple:
     reader = csv.reader(read_lines(path))
     rows = [(reader.line_num, row) for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: empty selection file")
-    header = [c.strip().lower() for c in rows[0][1]]
+    header = [c.strip().lower() for c in rows[0][1]] if rows else []
     if "index" in header:
         col = header.index("index")
         for line, row in rows[1:]:
@@ -93,6 +91,8 @@ def _read_selected_file(path: str) -> tuple:
         cells = [(line, row[col]) for line, row in rows[1:]]
     else:
         cells = [(line, v) for line, row in rows for v in row]
+    if not cells:
+        raise ValueError(f"{path}: no feature index in the selection file")
     indices = []
     for line, value in cells:
         try:

@@ -119,10 +119,10 @@ def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -
     """Pick the kernel width maximizing internal cross-validated accuracy.
 
     Candidates are scored in ascending order and the first with the most
-    hits wins, so ties resolve toward the smallest sigma. Runs entirely on the
-    given data; callers pass their training split only. Each inner split is
-    fitted once: the fitted state does not depend on sigma, so every
-    candidate reuses it.
+    hits wins, so ties resolve toward the smallest sigma. Runs entirely on
+    the given data; callers pass their training split only. Each inner
+    split is fitted once: the fitted state does not depend on sigma, so
+    every candidate reuses it.
 
     Raises:
         EmptyGridError: no candidates.

@@ -299,11 +299,10 @@ def channel_relevance(
             continue
         cols = np.asarray(kept, dtype=int) - 1
         try:
-            results.append(
-                monte_carlo(X[:, cols], y, k=k, runs=runs, base_seed=base_seed, config=config)
-            )
+            result = monte_carlo(X[:, cols], y, k=k, runs=runs, base_seed=base_seed, config=config)
         except NonFiniteScoreError as exc:
             raise exc.reindexed(columns=cols) from None
+        results.append(result)
     return results
 
 

@@ -297,8 +297,10 @@ class TestEval:
         [
             ("step,index,name\n1,2,a\n\n2\n", ":4: no 'index' field in 1 fields"),
             ("3\nx\n", ":2: feature index 'x' is not an integer"),
+            ("step,index,name\n", ": no feature index in the selection file"),
+            ("\n", ": no feature index in the selection file"),
         ],
-        ids=["short_row", "bad_cell"],
+        ids=["short_row", "bad_cell", "header_only", "empty"],
     )
     def test_bad_selected_file_names_line(self, workspace, tmp_path, capsys, text, message):
         sel = tmp_path / "subset.csv"
