@@ -141,21 +141,23 @@ class PnnModel:
                 f"expected {self.n_features} features, got shape {X.shape}"
             )
         _require_finite(X, "query")
-        Xn = (X - self.mean) / self.scale
-        E = self.exemplars
-        # Every step works in place on the one (n, N) buffer: a temporary per
-        # step pushes it out of cache and costs more than the arithmetic.
-        k = Xn @ E.T
-        k *= -2.0
-        k += np.sum(Xn * Xn, axis=1)[:, np.newaxis]
-        k += np.sum(E * E, axis=1)
-        np.maximum(k, 0.0, out=k)
-        try:
-            return classify_distances(
-                k, self.sigma, self.counts, self.class_ids, self.priors, self.n_classes
-            )
-        except NonFiniteScoreError as exc:
-            raise overflow_error(exc.row, Xn[exc.row]) from None
+        # NonFiniteScoreError reports an overflow; numpy need not warn first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            Xn = (X - self.mean) / self.scale
+            E = self.exemplars
+            # Every step works in place on the one (n, N) buffer: a temporary
+            # per step pushes it out of cache and costs more than the arithmetic.
+            k = Xn @ E.T
+            k *= -2.0
+            k += np.sum(Xn * Xn, axis=1)[:, np.newaxis]
+            k += np.sum(E * E, axis=1)
+            np.maximum(k, 0.0, out=k)
+            try:
+                return classify_distances(
+                    k, self.sigma, self.counts, self.class_ids, self.priors, self.n_classes
+                )
+            except NonFiniteScoreError as exc:
+                raise overflow_error(exc.row, Xn[exc.row]) from None
 
 
 def classify_distances(d2, sigma, counts, class_ids, priors, n_classes):
@@ -252,6 +254,17 @@ def fit_pnn(X, y, sigma: float, n_classes: int | None = None) -> PnnModel:
         EmptyClassWarning: a label in 1..C has no exemplar.
     """
     X = np.asarray(X, dtype=float)
+    order, fitted = fit_statistics(X, y, sigma, n_classes)
+    return PnnModel(exemplars=(X[order] - fitted["mean"]) / fitted["scale"], **fitted)
+
+
+def fit_statistics(X, y, sigma: float, n_classes: int | None = None):
+    """fit_pnn's checks, warnings and fitted state but the exemplar matrix.
+
+    Returns (order, fitted): the stable class-sorted order of the rows of X,
+    and every other PnnModel field by name.
+    """
+    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("training matrix must be 2-d and nonempty")
@@ -270,7 +283,7 @@ def fit_pnn(X, y, sigma: float, n_classes: int | None = None) -> PnnModel:
         warnings.warn(
             f"classes without exemplars can never be predicted: {missing}",
             EmptyClassWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     mean = X.mean(axis=0)
     std = X.std(axis=0)
@@ -279,10 +292,9 @@ def fit_pnn(X, y, sigma: float, n_classes: int | None = None) -> PnnModel:
     # would blow a query's slightest offset there up.
     scale = np.where((X.max(axis=0) == X.min(axis=0)) | (std == 0.0), 1.0, std)
     class_ids = np.flatnonzero(per_class) + 1
-    return PnnModel(
+    return np.argsort(y, kind="stable"), dict(
         mean=mean,
         scale=scale,
-        exemplars=(X[np.argsort(y, kind="stable")] - mean) / scale,
         class_ids=class_ids,
         counts=per_class[class_ids - 1],
         sigma=sigma,

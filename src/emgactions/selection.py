@@ -20,7 +20,7 @@ from emgactions.pnn import (
     NonFiniteScoreError,
     PnnConfig,
     classify_distances,
-    fit_pnn,
+    fit_statistics,
     overflow_error,
 )
 
@@ -55,6 +55,10 @@ class SelectionTrace:
         return len(self.steps)
 
 
+# Test rows the criterion scores at once; they size its two buffers.
+ROW_BLOCK = 128
+
+
 def cv_accuracy_criterion(
     X,
     y,
@@ -64,20 +68,20 @@ def cv_accuracy_criterion(
 ):
     """Build the default SFS criterion: seeded k-fold CV accuracy.
 
-    The returned callable maps a tuple of 1-based feature indices to the
-    pooled k-fold accuracy of the classifier restricted to those columns,
-    ``kfold_cv(X[:, cols], y, k, PnnConfig(sigma), seed).alpha``. The
-    internal seed is fixed so candidate scores are comparable within a
+    The returned callable, criterion(selected, candidates), scores one SFS
+    step. For each 1-based candidate index c, in order, it returns the pooled
+    k-fold accuracy of the classifier restricted to the columns
+    selected + (c,), ``kfold_cv(X[:, cols], y, k, PnnConfig(sigma), seed).alpha``.
+    The internal seed is fixed so candidate scores are comparable within a
     selection run.
 
     The folds, each fold's z-scoring statistics (fit on all of its training
-    columns) and its class-sorted exemplar order are built once. Z-scoring
-    is per column, so squared distances add up column by column: each fold
-    caches the summed squared distances of the prefix (every index but the
-    last) of the last call. A call whose prefix extends the cached one adds
-    the new columns to the cache, any other prefix is summed afresh, and
-    the candidate adds its own column. Memory: one float64 (n_test, n_train)
-    cache per fold and one buffer of that size shared by the folds.
+    columns) and its class-sorted exemplar order are built once; a call
+    keeps nothing for the next. Z-scoring is per column, so squared
+    distances add up column by column: a call takes each fold's test rows
+    ROW_BLOCK at a time, sums the block's squared distances over the
+    selected columns, in order, and adds each candidate's column to that
+    sum. Memory: two float64 (ROW_BLOCK, n_train) buffers per call.
 
     The distances are summed directly as sum_j (x_j - e_j)^2 where
     PnnModel.predict_batch expands them, and numpy sums a lone column
@@ -91,7 +95,8 @@ def cv_accuracy_criterion(
             its row in a fold's training rows and its column).
         NonFiniteScoreError: raised by a call whose squared distances
             overflow for some row of X; it names that row and the column
-            of X farthest from its training mean.
+            of X farthest from its training mean, for the first candidate
+            that overflows and its first such fold.
         NonPositiveSigmaError: sigma is not finite and > 0.
         TooFewSamplesError: some class has fewer than k samples.
     """
@@ -100,77 +105,74 @@ def cv_accuracy_criterion(
     assignment = kfold_assignment(y, k, seed)
     C = int(y.max())
     folds = [_Fold(X, y, assignment == f, sigma, C) for f in range(k)]
-    caches = [np.zeros(fold.shape) for fold in folds]
-    buffer = np.empty(max(cache.size for cache in caches))
-    cached: list[int] = []
+    n_train = max(fold.exemplars.size for fold in folds)
 
-    def criterion(indices) -> float:
-        nonlocal cached
-        cols = [int(i) - 1 for i in indices]
-        if not cols:
-            raise NoFeaturesError("no feature indices to score")
-        *prefix, last = cols
-        if prefix:
-            if prefix[: len(cached)] != cached:
-                cached = []
-                for cache in caches:
-                    cache.fill(0.0)
-            for c in prefix[len(cached) :]:
-                for fold, cache in zip(folds, caches):
-                    cache += fold.squared_differences(c, buffer)
-            cached = prefix
-        correct = 0
-        for fold, cache in zip(folds, caches):
-            d2 = fold.squared_differences(last, buffer)
-            if prefix:
-                d2 += cache
-            try:
-                labels, _ = classify_distances(
-                    d2, fold.sigma, fold.counts, fold.class_ids, fold.priors, C
-                )
-            except NonFiniteScoreError as exc:
-                row = fold.test[exc.row]
-                z = (X[row, cols] - fold.mean[cols]) / fold.scale[cols]
-                raise overflow_error(exc.row, z).reindexed(fold.test, cols) from None
-            correct += int(np.count_nonzero(labels == fold.y_test))
-        return correct / y.size
+    def criterion(selected, candidates) -> list:
+        selected = [int(i) - 1 for i in selected]
+        candidates = [int(i) - 1 for i in candidates]
+        if not candidates:
+            raise NoFeaturesError("no candidate feature to score")
+        summed, buffer = np.empty((2, ROW_BLOCK * n_train))
+        correct = [0] * len(candidates)
+        failure, limit = None, len(candidates)
+        # NonFiniteScoreError reports an overflow; numpy need not warn first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for fold in folds:
+                for start in range(0, fold.test.size, ROW_BLOCK):
+                    rows = fold.test[start : start + ROW_BLOCK]
+                    y_rows = y[rows]
+                    size = rows.size * fold.exemplars.size
+                    prefix = summed[:size].reshape(rows.size, -1)
+                    d2 = buffer[:size].reshape(rows.size, -1)
+                    prefix.fill(0.0)
+                    for c in selected:
+                        prefix += fold.squared_differences(c, rows, d2)
+                    for i, c in enumerate(candidates[:limit]):
+                        fold.squared_differences(c, rows, d2)
+                        if selected:
+                            d2 += prefix
+                        try:
+                            labels, _ = classify_distances(
+                                d2, fold.sigma, fold.counts, fold.class_ids, fold.priors, C
+                            )
+                        except NonFiniteScoreError as exc:
+                            # Only an earlier candidate can still fail first.
+                            cols = selected + [c]
+                            z = (X[rows[exc.row], cols] - fold.mean[cols]) / fold.scale[cols]
+                            failure = overflow_error(exc.row, z).reindexed(rows, cols)
+                            limit = i
+                            break
+                        correct[i] += int(np.count_nonzero(labels == y_rows))
+        if failure is not None:
+            raise failure
+        return [n / y.size for n in correct]
 
     return criterion
 
 
 class _Fold:
-    """One fold of the criterion: what fit_pnn fixes on its training rows.
-
-    Attributes:
-        shape: (n_test, n_train), the shape of its distance arrays, whose
-            columns follow the class-sorted exemplar order.
+    """One fold of the criterion: every PnnModel field fit_statistics fixes
+    on its training rows, and in exemplars those rows in class-sorted
+    exemplar order, which the columns of its distance arrays follow.
     """
 
     def __init__(self, X, y, test, sigma, n_classes):
         train = np.flatnonzero(~test)
-        model = fit_pnn(X[train], y[train], sigma, n_classes=n_classes)
+        order, fitted = fit_statistics(X[train], y[train], sigma, n_classes)
         self.X = X
         self.test = np.flatnonzero(test)
-        self.y_test = y[test]
-        self.exemplars = train[np.argsort(y[train], kind="stable")]
-        self.shape = (self.test.size, train.size)
-        self.mean = model.mean
-        self.scale = model.scale
-        self.sigma = model.sigma
-        self.priors = model.priors
-        self.class_ids = model.class_ids
-        self.counts = model.counts
+        self.exemplars = train[order]
+        vars(self).update(fitted)
 
-    def squared_differences(self, c: int, buffer) -> np.ndarray:
-        """(x_c - e_c)^2 for every (test row, exemplar) pair, in buffer.
+    def squared_differences(self, c: int, rows, out) -> np.ndarray:
+        """(x_c - e_c)^2 for every (row, exemplar) pair, in out.
 
-        Column c is z-scored as PnnModel.predict_batch does.
+        Column c is z-scored as PnnModel.predict_batch does; (e - x)^2 is
+        (x - e)^2 bit for bit, and e - x in place spares a numpy buffer.
         """
         mean, scale = self.mean[c], self.scale[c]
-        x = (self.X[self.test, c] - mean) / scale
-        e = (self.X[self.exemplars, c] - mean) / scale
-        out = buffer[: x.size * e.size].reshape(self.shape)
-        np.subtract(x[:, np.newaxis], e, out=out)
+        out[...] = (self.X[self.exemplars, c] - mean) / scale
+        out -= ((self.X[rows, c] - mean) / scale)[:, np.newaxis]
         np.square(out, out=out)
         return out
 
@@ -208,13 +210,9 @@ def sfs(
     plateaus = 0
     remaining = list(range(1, n_features + 1))
     while remaining and len(selected) < max_features:
-        best_idx = None
-        best_score = -np.inf
-        for idx in remaining:
-            score = criterion(tuple(selected) + (idx,))
-            if score > best_score:
-                best_score = score
-                best_idx = idx
+        scores = list(criterion(tuple(selected), tuple(remaining)))
+        best_score = max(scores)
+        best_idx = remaining[scores.index(best_score)]
         if best_score > current:
             plateaus = 0
         elif best_score == current:

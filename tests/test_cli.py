@@ -368,6 +368,35 @@ class TestEval:
         ) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "command, sigma",
+        [
+            ("eval", "0.5"),
+            ("eval", "auto"),
+            ("relevance", "0.5"),
+            ("relevance", "auto"),
+            ("ablate", "0.5"),
+            ("select", "0.5"),
+        ],
+    )
+    def test_tiny_column_spread_prints_only_the_error(self, workspace, tmp_path, capsys, command, sigma):
+        # NonFiniteScoreError reports the overflow: a numpy RuntimeWarning
+        # would print before the error line, and raised, it exits 1.
+        bad = tiny_spread_features(workspace, tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"cv_folds = 3\nruns = 2\nsigma = {sigma}\nsfs_folds = 2\n")
+        rc = main([
+            command,
+            "--config", str(cfg),
+            "--features", str(bad),
+            *(() if command == "select" else ("--selected", "1,41")),
+            "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_feature_rejected(self, workspace, tmp_path, capsys, cell):
         rows = rows_of(workspace["features"])

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from emgactions.crossval import TooFewSamplesError, kfold_cv, monte_carlo
+from emgactions import selection
+from emgactions.crossval import TooFewSamplesError, kfold_assignment, kfold_cv, monte_carlo
 from emgactions.features.registry import BadIndexError, build_registry
 from emgactions.pnn import NonFiniteScoreError, NonPositiveSigmaError, PnnConfig
 from emgactions.selection import (
@@ -21,6 +24,16 @@ SIGMA = 0.3
 FIXED = PnnConfig(sigma=SIGMA)
 
 
+def per_subset(score):
+    """A step criterion from a function of one feature tuple."""
+    return lambda selected, candidates: [score(tuple(selected) + (c,)) for c in candidates]
+
+
+def score_of(crit, cols):
+    """The criterion's score for the feature tuple cols."""
+    return crit(cols[:-1], cols[-1:])[0]
+
+
 def labeled_noise(n_per=20, n_cols=45, informative=(0,), seed=0):
     # two classes; the informative columns carry a +3 shift for class 2
     rng = np.random.default_rng(seed)
@@ -35,19 +48,21 @@ class TestCriterion:
     def test_informative_column_scores_higher(self):
         X, y = labeled_noise(n_cols=3, informative=(1,), seed=1)
         crit = cv_accuracy_criterion(X, y, k=3, sigma=SIGMA, seed=0)
-        assert crit((2,)) > crit((1,))
-        assert crit((2,)) > 0.9
+        first, second, _ = crit((), (1, 2, 3))
+        assert second > first
+        assert second > 0.9
 
     def test_deterministic(self):
         X, y = labeled_noise(n_cols=4, informative=(0,), seed=2)
         crit = cv_accuracy_criterion(X, y, k=3, sigma=SIGMA, seed=0)
-        assert crit((1, 3)) == crit((1, 3))
+        assert crit((1,), (3, 2)) == crit((1,), (3, 2))
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_equals_kfold_cv_on_random_call_sequences(self, k):
         # Continuous, discrete-valued (ties between exemplar distances) and
-        # constant columns; calls that extend the last prefix, repeat it or
-        # jump to an unrelated one exercise the cache's grow and rebuild paths.
+        # constant columns; selected sets that extend the last one, repeat it
+        # or jump to an unrelated one, each with random candidates in random
+        # order.
         rng = np.random.default_rng(20 + k)
         X, y = blobs(n_per_class=12, n_classes=3, dim=4, spread=1.5, separation=1.0, seed=k)
         X = np.hstack([X, rng.integers(0, 3, (y.size, 3)).astype(float), np.full((y.size, 1), 0.1)])
@@ -60,10 +75,14 @@ class TestCriterion:
                 selected = list(rng.permutation(np.arange(1, d + 1))[: rng.integers(0, d)])
             elif move == 1:
                 selected.append(int(rng.choice([i for i in range(1, d + 1) if i not in selected])))
-            candidate = int(rng.choice([i for i in range(1, d + 1) if i not in selected] or [1]))
-            cols = tuple(selected) + (candidate,)
-            expected = kfold_cv(X[:, np.array(cols) - 1], y, k=k, config=FIXED, seed=5).alpha
-            assert crit(cols) == expected, cols
+            unselected = [i for i in range(1, d + 1) if i not in selected] or [1]
+            candidates = [int(c) for c in rng.permutation(unselected)[: rng.integers(1, len(unselected) + 1)]]
+            scores = crit(tuple(selected), tuple(candidates))
+            assert len(scores) == len(candidates)
+            for candidate, score in zip(candidates, scores):
+                cols = tuple(selected) + (candidate,)
+                expected = kfold_cv(X[:, np.array(cols) - 1], y, k=k, config=FIXED, seed=5).alpha
+                assert score == expected, cols
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_xor_bits_equal_kfold_cv(self, k):
@@ -73,7 +92,7 @@ class TestCriterion:
         crit = cv_accuracy_criterion(bits, y, k=k, sigma=0.5, seed=1)
         for cols in [(1,), (2,), (3,), (1, 2), (1, 3), (2, 1), (2, 3), (1, 2, 3), (3, 2, 1)]:
             expected = kfold_cv(bits[:, np.array(cols) - 1], y, k=k, config=config, seed=1).alpha
-            assert crit(cols) == expected, cols
+            assert score_of(crit, cols) == expected, cols
 
     def test_sfs_trace_equals_kfold_cv_trace(self):
         X, y = blobs(n_per_class=15, n_classes=4, dim=10, spread=2.0, separation=1.0, seed=23)
@@ -82,7 +101,7 @@ class TestCriterion:
             return kfold_cv(X[:, np.array(cols) - 1], y, k=3, config=FIXED, seed=0).alpha
 
         fast = sfs(X, y, cv_accuracy_criterion(X, y, k=3, sigma=SIGMA), max_features=5, patience=5)
-        slow = sfs(X, y, reference, max_features=5, patience=5)
+        slow = sfs(X, y, per_subset(reference), max_features=5, patience=5)
         assert len(fast) == 5
         assert fast.steps == slow.steps
 
@@ -112,11 +131,94 @@ class TestCriterion:
         X[:, 1] = np.resize([0.0, 1e-160], y.size)
         X[7, 1] = 1e-3
         crit = cv_accuracy_criterion(X, y, k=3, sigma=SIGMA)
-        assert crit((1,)) > 0.0
+        assert score_of(crit, (1,)) > 0.0
         message = r"^query row 7 has no finite class score: column 1 lies 2[.0-9]*e\+157 "
         with pytest.raises(NonFiniteScoreError, match=message) as info:
-            crit((1, 2))
+            crit((1,), (2,))
         assert (info.value.row, info.value.column) == (7, 1)
+
+
+class TestCriterionBlocks:
+    """A call takes each fold's test rows ROW_BLOCK at a time."""
+
+    @staticmethod
+    def matrix():
+        # 3 classes x 13 rows and k = 2: folds of 19 and 20 test rows, so at
+        # ROW_BLOCK = 4 each holds four whole blocks, one with a ragged fifth.
+        rng = np.random.default_rng(31)
+        X, y = blobs(n_per_class=13, n_classes=3, dim=4, spread=1.5, separation=1.0, seed=31)
+        X = np.hstack([X, rng.integers(0, 3, (y.size, 2)).astype(float)])
+        sizes = np.bincount(kfold_assignment(y, 2, 4))
+        assert sizes.min() > 4 * 4 and np.any(sizes % 4)
+        return X, y
+
+    def test_small_blocks_keep_every_score(self, monkeypatch):
+        X, y = self.matrix()
+        steps = [((), (1, 2, 3, 4, 5, 6)), ((3,), (6, 1, 5, 2)), ((3, 6, 1), (2, 4, 5))]
+        whole = cv_accuracy_criterion(X, y, k=2, sigma=SIGMA, seed=4)
+        expected = [whole(selected, candidates) for selected, candidates in steps]
+        monkeypatch.setattr(selection, "ROW_BLOCK", 4)
+        blocked = cv_accuracy_criterion(X, y, k=2, sigma=SIGMA, seed=4)
+        for (selected, candidates), scores in zip(steps, expected):
+            assert blocked(selected, candidates) == scores
+            for c, score in zip(candidates, scores):
+                cols = np.array(selected + (c,)) - 1
+                assert score == kfold_cv(X[:, cols], y, k=2, config=FIXED, seed=4).alpha, (selected, c)
+
+    @staticmethod
+    def overflow_in(X, y, fold, position, column):
+        # Column's values spread 5e-161, except one test row of fold, whose
+        # 1e-3 lies 2e157 spreads from that fold's training mean.
+        X[:, column] = np.resize([0.0, 1e-160], y.size)
+        row = int(np.flatnonzero(kfold_assignment(y, 2, 4) == fold)[position])
+        X[row, column] = 1e-3
+        return row
+
+    @pytest.mark.parametrize("block", [4, 128])
+    def test_overflow_in_a_later_block_names_the_matrix_row(self, monkeypatch, block):
+        monkeypatch.setattr(selection, "ROW_BLOCK", block)
+        X, y = self.matrix()
+        row = self.overflow_in(X, y, fold=1, position=10, column=4)
+        crit = cv_accuracy_criterion(X, y, k=2, sigma=SIGMA, seed=4)
+        message = rf"^query row {row} has no finite class score: column 4 lies 2[.0-9]*e\+157 "
+        with pytest.raises(NonFiniteScoreError, match=message) as info:
+            crit((2, 1), (3, 5, 6))
+        assert (info.value.row, info.value.column) == (row, 4)
+
+    @pytest.mark.parametrize("block", [4, 128])
+    def test_overflow_names_the_first_failing_candidate(self, monkeypatch, block):
+        # Feature 6 overflows in fold 0, which is scored first, and feature 5
+        # only in fold 1; one candidate at a time, feature 5 fails first.
+        monkeypatch.setattr(selection, "ROW_BLOCK", block)
+        X, y = self.matrix()
+        row = self.overflow_in(X, y, fold=1, position=10, column=4)
+        self.overflow_in(X, y, fold=0, position=2, column=5)
+        crit = cv_accuracy_criterion(X, y, k=2, sigma=SIGMA, seed=4)
+        with pytest.raises(NonFiniteScoreError) as info:
+            crit((1,), (2, 5, 6))
+        assert (info.value.row, info.value.column) == (row, 4)
+
+
+def test_criterion_memory_stays_below_half_a_prefix_cache_per_fold():
+    # The parent design held one (n_test, n_train) float64 prefix cache per
+    # fold. A call now needs two (ROW_BLOCK, n_train) buffers, 86% of the
+    # bound at this size; the rest leaves room for numpy's transient ufunc
+    # buffers, whose size differs between numpy versions.
+    k, n_per = 3, 220
+    rng = np.random.default_rng(7)
+    y = np.repeat([1, 2, 3], n_per)
+    n_test, n_train = y.size // k, y.size - y.size // k
+    warm = cv_accuracy_criterion(np.eye(9), np.repeat([1, 2, 3], 3), k=k, sigma=SIGMA)
+    warm((1, 2), (3, 4))  # imports numpy's lazily loaded modules outside the trace
+    tracemalloc.start()
+    try:
+        X = rng.normal(size=(y.size, 8)) + y[:, np.newaxis]
+        crit = cv_accuracy_criterion(X, y, k=k, sigma=SIGMA)
+        crit((1, 2, 3), (4, 5, 6, 7, 8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - X.nbytes < k * n_test * n_train * 8 / 2
 
 
 class TestSfs:
@@ -141,14 +243,14 @@ class TestSfs:
 
     def test_tie_takes_smallest_index(self):
         X = np.zeros((10, 4))
-        trace = sfs(X, np.ones(10, dtype=int), criterion=lambda t: 0.7)
+        trace = sfs(X, np.ones(10, dtype=int), criterion=per_subset(lambda t: 0.7))
         assert trace.selected == (1,)
         assert trace.scores == (0.7,)
 
     def test_plateau_patience_semantics(self):
         X = np.zeros((10, 5))
         y = np.ones(10, dtype=int)
-        flat = lambda t: 0.7
+        flat = per_subset(lambda t: 0.7)
         # patience=1: the first equal-score step already stops the search
         assert sfs(X, y, criterion=flat, patience=1).selected == (1,)
         # patience=3: two equal-score steps are tolerated before stopping
@@ -156,7 +258,7 @@ class TestSfs:
 
     def test_strictly_worse_step_stops(self):
         scores = {(2,): 0.9}
-        crit = lambda t: scores.get(tuple(t), 0.8 if len(t) > 1 else 0.5)
+        crit = per_subset(lambda t: scores.get(tuple(t), 0.8 if len(t) > 1 else 0.5))
         trace = sfs(np.zeros((8, 4)), np.ones(8, dtype=int), criterion=crit)
         assert trace.selected == (2,)
 
@@ -169,14 +271,14 @@ class TestSfs:
             (1, 2, 3): 0.9, (1, 2, 4): 0.7,
             (1, 2, 3, 4): 0.9,
         }
-        crit = lambda t: table[tuple(sorted(t))]
+        crit = per_subset(lambda t: table[tuple(sorted(t))])
         trace = sfs(np.zeros((8, 4)), np.ones(8, dtype=int), criterion=crit, patience=2)
         assert trace.selected == (1, 2, 3, 4)
         assert trace.scores == (0.5, 0.5, 0.9, 0.9)
 
     def test_max_features_cap(self):
         X, y = labeled_noise(n_cols=6, seed=5)
-        trace = sfs(X, y, criterion=lambda t: float(len(t)), max_features=2)
+        trace = sfs(X, y, criterion=per_subset(lambda t: float(len(t))), max_features=2)
         assert len(trace) == 2
 
     def test_no_features(self):
