@@ -187,7 +187,9 @@ def sfs(
     """Sequential forward selection.
 
     Starting empty, each step scores every unselected feature appended to
-    the current set and takes the best (ties toward the smallest index).
+    the current set, in one call criterion(selected, candidates) that
+    returns a score per candidate, and takes the best (ties toward the
+    smallest index).
     Strict improvements reset the plateau counter; an equal-score step is
     accepted while fewer than `patience` such steps have accumulated; a step
     that would lower the criterion stops the search immediately.

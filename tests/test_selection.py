@@ -200,10 +200,11 @@ class TestCriterionBlocks:
 
 
 def test_criterion_memory_stays_below_half_a_prefix_cache_per_fold():
-    # The parent design held one (n_test, n_train) float64 prefix cache per
-    # fold. A call now needs two (ROW_BLOCK, n_train) buffers, 86% of the
-    # bound at this size; the rest leaves room for numpy's transient ufunc
-    # buffers, whose size differs between numpy versions.
+    # A criterion that keeps one (n_test, n_train) float64 prefix cache per
+    # fold needs twice the bound for its caches alone. A call's two
+    # (ROW_BLOCK, n_train) buffers take 78% of it at 660 rows; the rest
+    # leaves room for numpy's transient ufunc buffers, whose size differs
+    # between numpy versions (at 600 rows the peak came within 4% of it).
     k, n_per = 3, 220
     rng = np.random.default_rng(7)
     y = np.repeat([1, 2, 3], n_per)
