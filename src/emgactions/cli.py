@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +58,8 @@ def _parse_selected(spec: str | None, n_features: int, registry=None) -> tuple:
 
     Accepts 'all', 'reference', a comma-separated index list, or a path to
     either a selection CSV (with an 'index' column) or a plain list file.
+    A repeated index is rejected: its column would count twice in every
+    distance.
     """
     if spec is None or spec == "all":
         indices = tuple(range(1, n_features + 1))
@@ -73,6 +76,11 @@ def _parse_selected(spec: str | None, n_features: int, registry=None) -> tuple:
             raise ValueError(f"cannot parse --selected value {spec!r}") from None
         if not indices:
             raise ValueError("empty --selected list")
+        seen = set()
+        for idx in indices:
+            if idx in seen:
+                raise ValueError(f"--selected repeats feature index {idx}")
+            seen.add(idx)
     for idx in indices:
         if not 1 <= idx <= n_features:
             raise BadIndexError(f"feature index {idx} outside 1..{n_features}")
@@ -93,13 +101,16 @@ def _read_selected_file(path: str) -> tuple:
         cells = [(line, v) for line, row in rows for v in row]
     if not cells:
         raise ValueError(f"{path}: no feature index in the selection file")
-    indices = []
+    lines = {}  # index -> the line it first appears on
     for line, value in cells:
         try:
-            indices.append(int(value))
+            idx = int(value)
         except ValueError:
             raise ValueError(f"{path}:{line}: feature index {value!r} is not an integer") from None
-    return tuple(indices)
+        if idx in lines:
+            raise ValueError(f"{path}:{line}: feature index {idx} repeated (first on line {lines[idx]})")
+        lines[idx] = line
+    return tuple(lines)
 
 
 @contextlib.contextmanager
@@ -170,8 +181,19 @@ def cmd_select(args) -> int:
         sigma=cfg.sfs_sigma,
         seed=cfg.seed,
     )
+    start = time.perf_counter()
+
+    def progress(step, idx, score):
+        print(
+            f"step {step}: feature {idx} ({names[idx - 1]}) criterion {score:.4f} "
+            f"at {time.perf_counter() - start:.1f} s",
+            file=sys.stderr,
+        )
+
     with _scores_named(args.features, names):
-        trace = sfs(X, y, criterion, max_features=cfg.max_features, patience=cfg.patience)
+        trace = sfs(
+            X, y, criterion, max_features=cfg.max_features, patience=cfg.patience, on_step=progress
+        )
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "selection.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -54,6 +54,11 @@ class MalformedLineError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):
+        # The default would call __init__ with the formatted message alone.
+        return type(self), (self.line_no, self.message)
 
 
 class EmptyRecordingError(ValueError):

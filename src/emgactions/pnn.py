@@ -51,6 +51,10 @@ class NonFiniteScoreError(ValueError):
             )
         super().__init__(f"query row {row} has no finite class score{detail}")
 
+    def __reduce__(self):
+        # The default would rebuild the error from its message alone.
+        return type(self), (self.row, self.column, self.spread)
+
     def reindexed(self, rows=None, columns=None) -> "NonFiniteScoreError":
         """This error with its row looked up in rows and its column in columns.
 
@@ -192,7 +196,10 @@ def classify_distances(d2, sigma, counts, class_ids, priors, n_classes):
     # step pushes it out of cache and costs more than the arithmetic.
     k = d2
     k *= -1.0 / (2.0 * sigma * sigma)
-    k -= k.max(axis=1, keepdims=True)
+    # A row of infinite or NaN distances shifts to NaN; the error below
+    # reports it, so numpy need not warn first.
+    with np.errstate(invalid="ignore"):
+        k -= k.max(axis=1, keepdims=True)
     # A strided sample decides whether the mask is worth its two passes; it
     # changes only the speed, since masked and unmasked give the same bits.
     if k[::4, ::64].min(initial=0.0) < LOG_ZERO:

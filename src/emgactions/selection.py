@@ -6,6 +6,8 @@ of the feature registry; matrix columns are indexed internally as index-1.
 
 from __future__ import annotations
 
+import os
+import signal
 import warnings
 from dataclasses import dataclass
 
@@ -58,6 +60,19 @@ class SelectionTrace:
 # Test rows the criterion scores at once; they size its two buffers.
 ROW_BLOCK = 128
 
+# Distance cells (candidates x test rows x training rows) a step must hold
+# for each process it runs beyond this one; a smaller step stays serial,
+# since forking a process costs more than scoring a few cells.
+FORK_CELLS = 1 << 24
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 def cv_accuracy_criterion(
     X,
@@ -83,6 +98,13 @@ def cv_accuracy_criterion(
     selected columns, in order, and adds each candidate's column to that
     sum. Memory: two float64 (ROW_BLOCK, n_train) buffers per call.
 
+    A call whose step holds FORK_CELLS distance cells or more per extra
+    process scores contiguous chunks of the candidates at once, one per
+    usable CPU: this process scores the first and a forked child process
+    each other, with the same arithmetic, so every score keeps its bits.
+    Every child has exited before the call returns or raises. Where
+    os.fork is missing, or one CPU is usable, a call stays serial.
+
     The distances are summed directly as sum_j (x_j - e_j)^2 where
     PnnModel.predict_batch expands them, and numpy sums a lone column
     pairwise, so for one index the statistics can differ from kfold_cv's in
@@ -99,6 +121,8 @@ def cv_accuracy_criterion(
             that overflows and its first such fold.
         NonPositiveSigmaError: sigma is not finite and > 0.
         TooFewSamplesError: some class has fewer than k samples.
+        RuntimeError: raised by a call whose child process exited without
+            sending its scores.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -106,12 +130,11 @@ def cv_accuracy_criterion(
     C = int(y.max())
     folds = [_Fold(X, y, assignment == f, sigma, C) for f in range(k)]
     n_train = max(fold.exemplars.size for fold in folds)
+    cells_per_candidate = sum(fold.test.size * fold.exemplars.size for fold in folds)
 
-    def criterion(selected, candidates) -> list:
-        selected = [int(i) - 1 for i in selected]
-        candidates = [int(i) - 1 for i in candidates]
-        if not candidates:
-            raise NoFeaturesError("no candidate feature to score")
+    def score(selected, candidates) -> tuple:
+        """(correct count per candidate, None), or (counts, the error of
+        the first candidate whose distances overflow)."""
         summed, buffer = np.empty((2, ROW_BLOCK * n_train))
         correct = [0] * len(candidates)
         failure, limit = None, len(candidates)
@@ -143,11 +166,89 @@ def cv_accuracy_criterion(
                             limit = i
                             break
                         correct[i] += int(np.count_nonzero(labels == y_rows))
-        if failure is not None:
-            raise failure
-        return [n / y.size for n in correct]
+        return correct, failure
+
+    def criterion(selected, candidates) -> list:
+        selected = [int(i) - 1 for i in selected]
+        candidates = [int(i) - 1 for i in candidates]
+        if not candidates:
+            raise NoFeaturesError("no candidate feature to score")
+        n = len(candidates)
+        processes = min(n, 1 + n * cells_per_candidate // FORK_CELLS)
+        if processes > 1:
+            processes = min(processes, usable_cpus()) if hasattr(os, "fork") else 1
+        bounds = [n * p // processes for p in range(processes + 1)]
+        chunks = [candidates[a:b] for a, b in zip(bounds, bounds[1:])]
+        correct = []
+        # Chunks keep candidate order, so the first failing chunk holds the
+        # first failing candidate.
+        for counts, failure in _map_forked(lambda chunk: score(selected, chunk), chunks):
+            if failure is not None:
+                raise failure
+            correct += counts
+        return [count / y.size for count in correct]
 
     return criterion
+
+
+def _map_forked(fn, items) -> list:
+    """[fn(item) for item in items], with fn(items[0]) computed here while a
+    forked child process computes each other item.
+
+    A child sends its pickled result through a pipe and leaves by os._exit,
+    so it never returns into the caller's code. Every child is reaped before
+    this returns or raises; if this process fails first, its children are
+    killed.
+
+    Raises:
+        RuntimeError: a child exited without sending its result.
+    """
+    if len(items) == 1:
+        return [fn(items[0])]
+    import pickle
+
+    children = []  # (pid, read end of the pipe it writes to)
+    statuses = []
+    try:
+        for item in items[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    with open(write, "wb") as fh:
+                        pickle.dump(fn(item), fh, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, read))
+        results = [fn(items[0])]
+        payloads = []
+        for _, read in children:
+            with open(read, "rb", closefd=False) as fh:
+                payloads.append(fh.read())
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read in children:
+            os.close(read)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (pid, _), data, status in zip(children, payloads, statuses):
+        if not data:
+            raise RuntimeError(
+                f"criterion process {pid} exited without sending its scores "
+                f"(exit code {os.waitstatus_to_exitcode(status)})"
+            )
+        results.append(pickle.loads(data))
+    return results
 
 
 class _Fold:
@@ -183,6 +284,7 @@ def sfs(
     criterion=None,
     max_features: int = 60,
     patience: int = 1,
+    on_step=None,
 ) -> SelectionTrace:
     """Sequential forward selection.
 
@@ -193,6 +295,8 @@ def sfs(
     Strict improvements reset the plateau counter; an equal-score step is
     accepted while fewer than `patience` such steps have accumulated; a step
     that would lower the criterion stops the search immediately.
+    on_step, if given, is called as on_step(step, index, score) after each
+    accepted step, with step counted from 1.
 
     Raises:
         NoFeaturesError: the matrix has no columns.
@@ -227,6 +331,8 @@ def sfs(
         remaining.remove(best_idx)
         steps.append((best_idx, best_score))
         current = best_score
+        if on_step is not None:
+            on_step(len(steps), best_idx, best_score)
     return SelectionTrace(steps)
 
 

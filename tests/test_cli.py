@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -213,6 +214,25 @@ class TestSelect:
             scores.append(float(row[3]))
         assert scores == sorted(scores)
         assert scores[-1] > 0.9
+
+
+    def test_prints_one_progress_line_per_step(self, workspace, tmp_path, capsys):
+        out = tmp_path / "sel"
+        rc = main([
+            "select",
+            "--config", str(workspace["config"]),
+            "--features", str(workspace["features"]),
+            "--out", str(out),
+        ])
+        assert rc == 0
+        captured = capsys.readouterr()
+        rows = rows_of(out / "selection.csv")[1:]
+        assert captured.out == f"wrote {out / 'selection.csv'} ({len(rows)} features)\n"
+        lines = captured.err.splitlines()
+        assert len(lines) == len(rows) >= 1
+        for line, (step, idx, name, score) in zip(lines, rows):
+            expected = rf"step {step}: feature {idx} \({re.escape(name)}\) criterion {float(score):.4f} at \d+\.\d s"
+            assert re.fullmatch(expected, line), line
 
 
 class TestEval:
@@ -505,6 +525,32 @@ class TestAblate:
         assert rows[1][3] == ""
         for row in rows[2:]:
             float(row[3])  # parses
+
+
+@pytest.mark.parametrize("source", ["list", "csv_file", "plain_file"])
+@pytest.mark.parametrize("command", ["eval", "relevance", "ablate"])
+def test_repeated_index_exits_2(workspace, tmp_path, capsys, command, source):
+    # Repeated, a column would count twice in every distance.
+    if source == "list":
+        selected, message = "1,45,1", "--selected repeats feature index 1"
+    else:
+        selected = tmp_path / "subset.txt"
+        if source == "csv_file":
+            selected.write_text("step,index\n1,45\n2,1\n3,45\n")
+            message = f"{selected}:4: feature index 45 repeated (first on line 2)"
+        else:
+            selected.write_text("45\n1,45\n")
+            message = f"{selected}:2: feature index 45 repeated (first on line 1)"
+    rc = main([
+        command,
+        "--config", str(workspace["config"]),
+        "--features", str(workspace["features"]),
+        "--selected", str(selected),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

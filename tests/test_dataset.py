@@ -1,4 +1,5 @@
 import os
+import pickle
 import weakref
 from unittest import mock
 
@@ -38,6 +39,14 @@ def test_parse_field_count_mismatch_reports_line():
     with pytest.raises(MalformedLineError) as exc:
         parse_recording("1 2 3\n", 8)
     assert exc.value.line_no == 1
+
+
+def test_malformed_line_error_survives_pickling():
+    error = MalformedLineError(4, "non-finite value")
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is MalformedLineError
+    assert str(copy) == "line 4: non-finite value"
+    assert copy.line_no == 4
 
 
 def test_parse_line_numbers_count_blank_lines():

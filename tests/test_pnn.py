@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -199,6 +200,14 @@ class TestPredict:
             model.predict_batch(Q)
         assert info.value.row == 1
 
+    @pytest.mark.parametrize("column", [None, 2])
+    def test_error_survives_pickling(self, column):
+        error = NonFiniteScoreError(3, column, 2e157)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is NonFiniteScoreError
+        assert str(copy) == str(error)
+        assert (copy.row, copy.column, copy.spread) == (3, column, 2e157)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, bad):
         X, y = blobs(n_per_class=4, dim=3, seed=19)
@@ -325,6 +334,7 @@ class TestUnderflowMask:
             assert np.array_equal(got[1], want[1])
             assert got[1][0, 1] > 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("row", [1, 2])
     def test_non_finite_row_raises(self, row):
         d2 = np.ones((4, 6))

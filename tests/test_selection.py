@@ -1,3 +1,5 @@
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -197,6 +199,118 @@ class TestCriterionBlocks:
         with pytest.raises(NonFiniteScoreError) as info:
             crit((1,), (2, 5, 6))
         assert (info.value.row, info.value.column) == (row, 4)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedSteps:
+    """A large step scores contiguous candidate chunks in forked children."""
+
+    matrix = staticmethod(TestCriterionBlocks.matrix)
+    overflow_in = staticmethod(TestCriterionBlocks.overflow_in)
+
+    @staticmethod
+    def fork_every_step(monkeypatch, cpus):
+        """Force the forked path on cpus CPUs; returns the pids forked."""
+        monkeypatch.setattr(selection, "FORK_CELLS", 1)
+        monkeypatch.setattr(selection, "usable_cpus", lambda: cpus)
+        forked, fork = [], os.fork
+
+        def counted_fork():
+            pid = fork()
+            forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forked
+
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_scores_equal_serial_bit_for_bit(self, monkeypatch, cpus):
+        # At 8 CPUs every step has fewer candidates than CPUs.
+        X, y = self.matrix()
+        steps = [((), (1, 2, 3, 4, 5, 6)), ((3,), (6, 1, 5, 2)), ((3, 6, 1), (2, 4, 5))]
+        serial = cv_accuracy_criterion(X, y, k=2, sigma=SIGMA, seed=4)
+        expected = [serial(selected, candidates) for selected, candidates in steps]
+        forked = self.fork_every_step(monkeypatch, cpus)
+        crit = cv_accuracy_criterion(X, y, k=2, sigma=SIGMA, seed=4)
+        for (selected, candidates), scores in zip(steps, expected):
+            del forked[:]
+            assert crit(selected, candidates) == scores
+            assert len(forked) == min(cpus, len(candidates)) - 1
+            assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "cpus, candidates",
+        [(2, (2, 3, 5, 6)), (3, (2, 5, 6)), (3, (5, 2, 6)), (2, (6, 2, 5, 3))],
+        ids=["child", "two_children", "parent_and_child", "later_in_a_child"],
+    )
+    def test_overflow_raises_as_serial(self, monkeypatch, cpus, candidates):
+        # Feature 5 overflows in fold 1 and feature 6 in fold 0, which is
+        # scored first; serial, the first of them in candidate order fails.
+        X, y = self.matrix()
+        self.overflow_in(X, y, fold=1, position=10, column=4)
+        self.overflow_in(X, y, fold=0, position=2, column=5)
+        serial = cv_accuracy_criterion(X, y, k=2, sigma=SIGMA, seed=4)
+        with pytest.raises(NonFiniteScoreError) as expected:
+            serial((1,), candidates)
+        forked = self.fork_every_step(monkeypatch, cpus)
+        crit = cv_accuracy_criterion(X, y, k=2, sigma=SIGMA, seed=4)
+        with pytest.raises(NonFiniteScoreError) as info:
+            crit((1,), candidates)
+        assert len(forked) == cpus - 1
+        assert_no_child_left()
+        assert str(info.value) == str(expected.value)
+        assert (info.value.row, info.value.column) == (expected.value.row, expected.value.column)
+        assert info.value.spread == expected.value.spread
+
+    @pytest.mark.parametrize(
+        "die, code", [(lambda: os._exit(3), 3), (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)]
+    )
+    def test_child_that_dies_raises_and_is_reaped(self, monkeypatch, die, code):
+        X, y = self.matrix()
+        self.fork_every_step(monkeypatch, 2)
+        parent, classify = os.getpid(), selection.classify_distances
+
+        def dies_in_a_child(*args):
+            if os.getpid() != parent:
+                die()
+            return classify(*args)
+
+        monkeypatch.setattr(selection, "classify_distances", dies_in_a_child)
+        crit = cv_accuracy_criterion(X, y, k=2, sigma=SIGMA, seed=4)
+        message = rf"^criterion process \d+ exited without sending its scores \(exit code {code}\)$"
+        with pytest.raises(RuntimeError, match=message):
+            crit((), (1, 2, 3, 4))
+        assert_no_child_left()
+
+    def test_failing_parent_kills_and_reaps_its_children(self, monkeypatch):
+        X, y = self.matrix()
+        forked = self.fork_every_step(monkeypatch, 3)
+        parent, classify = os.getpid(), selection.classify_distances
+
+        def fails_in_the_parent(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return classify(*args)
+
+        monkeypatch.setattr(selection, "classify_distances", fails_in_the_parent)
+        crit = cv_accuracy_criterion(X, y, k=2, sigma=SIGMA, seed=4)
+        with pytest.raises(KeyboardInterrupt):
+            crit((), (1, 2, 3, 4, 5, 6))
+        assert len(forked) == 2
+        assert_no_child_left()
+
+    def test_small_step_stays_serial(self, monkeypatch):
+        X, y = self.matrix()
+        forked = self.fork_every_step(monkeypatch, 2)
+        monkeypatch.setattr(selection, "FORK_CELLS", 6 * X.shape[0] ** 2)
+        crit = cv_accuracy_criterion(X, y, k=2, sigma=SIGMA, seed=4)
+        crit((), (1, 2, 3, 4, 5, 6))
+        assert forked == []
 
 
 def test_criterion_memory_stays_below_half_a_prefix_cache_per_fold():
