@@ -7,7 +7,6 @@ of the feature registry; matrix columns are indexed internally as index-1.
 from __future__ import annotations
 
 import os
-import signal
 import warnings
 from dataclasses import dataclass
 
@@ -206,6 +205,7 @@ def _map_forked(fn, items) -> list:
     if len(items) == 1:
         return [fn(items[0])]
     import pickle
+    import signal
 
     children = []  # (pid, read end of the pipe it writes to)
     statuses = []
