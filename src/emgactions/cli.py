@@ -108,7 +108,9 @@ def _read_selected_file(path: str) -> tuple:
         except ValueError:
             raise ValueError(f"{path}:{line}: feature index {value!r} is not an integer") from None
         if idx in lines:
-            raise ValueError(f"{path}:{line}: feature index {idx} repeated (first on line {lines[idx]})")
+            raise ValueError(
+                f"{path}:{line}: feature index {idx} repeated (first on line {lines[idx]})"
+            )
         lines[idx] = line
     return tuple(lines)
 

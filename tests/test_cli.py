@@ -231,8 +231,8 @@ class TestSelect:
         lines = captured.err.splitlines()
         assert len(lines) == len(rows) >= 1
         for line, (step, idx, name, score) in zip(lines, rows):
-            expected = rf"step {step}: feature {idx} \({re.escape(name)}\) criterion {float(score):.4f} at \d+\.\d s"
-            assert re.fullmatch(expected, line), line
+            expected = rf"step {step}: feature {idx} \({re.escape(name)}\) criterion {float(score):.4f} "
+            assert re.fullmatch(expected + r"at \d+\.\d s", line), line
 
 
 class TestEval:
