@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -53,7 +54,7 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _parse_selected(spec: str | None, n_features: int, registry=None) -> tuple:
+def _parse_selected(spec: str | None, n_features: int, registry) -> tuple:
     """Resolve a --selected value into 1-based feature indices.
 
     Accepts 'all', 'reference', a comma-separated index list, or a path to
@@ -62,32 +63,37 @@ def _parse_selected(spec: str | None, n_features: int, registry=None) -> tuple:
     distance.
     """
     if spec is None or spec == "all":
-        indices = tuple(range(1, n_features + 1))
-    elif spec == "reference":
-        if registry is None:
-            raise ValueError("'reference' selection needs the standard feature registry")
-        indices = reference_selection(registry)
-    elif os.path.isfile(spec):
-        indices = _read_selected_file(spec)
+        return tuple(range(1, n_features + 1))
+    if spec == "reference":
+        return reference_selection(registry)
+    if os.path.isfile(spec):
+        cells = _selection_file_cells(spec)
     else:
-        try:
-            indices = tuple(int(v) for v in spec.split(",") if v.strip())
-        except ValueError:
-            raise ValueError(f"cannot parse --selected value {spec!r}") from None
-        if not indices:
+        cells = [(None, v) for v in spec.split(",") if v.strip()]  # no line
+        if not cells:
             raise ValueError("empty --selected list")
-        seen = set()
-        for idx in indices:
-            if idx in seen:
-                raise ValueError(f"--selected repeats feature index {idx}")
-            seen.add(idx)
-    for idx in indices:
+    lines = {}  # index -> the line it first appears on
+    for line, value in cells:
+        where = "" if line is None else f"{spec}:{line}: "
+        try:
+            idx = int(value)
+        except ValueError:
+            if line is None:
+                raise ValueError(f"cannot parse --selected value {spec!r}") from None
+            raise ValueError(f"{where}feature index {value!r} is not an integer") from None
         if not 1 <= idx <= n_features:
-            raise BadIndexError(f"feature index {idx} outside 1..{n_features}")
-    return indices
+            raise BadIndexError(f"{where}feature index {idx} outside 1..{n_features}")
+        if idx in lines:
+            if line is None:
+                raise ValueError(f"--selected repeats feature index {idx}")
+            raise ValueError(f"{where}feature index {idx} repeated (first on line {lines[idx]})")
+        lines[idx] = line
+    return tuple(lines)
 
 
-def _read_selected_file(path: str) -> tuple:
+def _selection_file_cells(path: str) -> list:
+    """(line, text) of every index in a selection file: its 'index' column
+    if its first row names one, else every field."""
     reader = csv.reader(read_lines(path))
     rows = [(reader.line_num, row) for row in reader if row]
     header = [c.strip().lower() for c in rows[0][1]] if rows else []
@@ -101,18 +107,7 @@ def _read_selected_file(path: str) -> tuple:
         cells = [(line, v) for line, row in rows for v in row]
     if not cells:
         raise ValueError(f"{path}: no feature index in the selection file")
-    lines = {}  # index -> the line it first appears on
-    for line, value in cells:
-        try:
-            idx = int(value)
-        except ValueError:
-            raise ValueError(f"{path}:{line}: feature index {value!r} is not an integer") from None
-        if idx in lines:
-            raise ValueError(
-                f"{path}:{line}: feature index {idx} repeated (first on line {lines[idx]})"
-            )
-        lines[idx] = line
-    return tuple(lines)
+    return cells
 
 
 @contextlib.contextmanager
@@ -130,21 +125,35 @@ def _scores_named(path: str, names, columns=None):
         ) from None
 
 
-def _check_registry(names, registry, context: str) -> None:
-    if list(names) != registry.names():
+def _subset_inputs(args, check_registry: bool = True) -> tuple:
+    """(cfg, X, y, names, registry, selected) of a command that scores
+    --selected subsets of features.csv; check_registry demands that the
+    file's feature columns be the configured registry's."""
+    cfg = _load_config(args)
+    X, y, _, _, names = read_feature_csv(args.features)
+    registry = registry_for(cfg.features, channels=cfg.channels)
+    if check_registry and list(names) != registry.names():
         raise ValueError(
-            f"{context}: feature columns do not match the configured registry; "
+            f"{args.features}: feature columns do not match the configured registry; "
             "re-extract with the same config or adjust it"
         )
+    return cfg, X, y, names, registry, _parse_selected(args.selected, X.shape[1], registry)
 
 
-def _write_confusion_csv(path: str, confusion: np.ndarray) -> None:
-    C = confusion.shape[0]
+def _cv_args(cfg: ExperimentConfig) -> dict:
+    """The cross-validation arguments of monte_carlo under cfg."""
+    return dict(k=cfg.cv_folds, runs=cfg.runs, base_seed=cfg.seed, config=cfg.pnn_config())
+
+
+def _write_table(cfg: ExperimentConfig, name: str, header, rows) -> str:
+    """Write a CSV table into the output directory; returns its path."""
+    os.makedirs(cfg.out, exist_ok=True)
+    path = os.path.join(cfg.out, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label"] + [str(c) for c in range(1, C + 1)])
-        for c in range(C):
-            writer.writerow([c + 1] + [int(v) for v in confusion[c]])
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def cmd_extract(args) -> int:
@@ -160,6 +169,11 @@ def cmd_extract(args) -> int:
         manifest = read_manifest(manifest_path)
         if not manifest.entries:
             raise ValueError(f"no recording found: manifest {manifest_path} has no 'entry' line")
+        if manifest.channels != cfg.channels:
+            raise ValueError(
+                f"{manifest_path}: the manifest has channels = {manifest.channels} but the "
+                f"config has channels = {cfg.channels}; set both to the recordings' channel count"
+            )
     recordings = load_dataset(manifest)
     X, y, subjects, trials = extract_feature_matrix(recordings, cfg.features)
     registry = registry_for(cfg.features, channels=cfg.channels)
@@ -196,37 +210,28 @@ def cmd_select(args) -> int:
         trace = sfs(
             X, y, criterion, max_features=cfg.max_features, patience=cfg.patience, on_step=progress
         )
-    os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, "selection.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "index", "name", "criterion"])
-        for step, (idx, score) in enumerate(trace.steps, start=1):
-            writer.writerow([step, idx, names[idx - 1], repr(float(score))])
+    rows = [
+        [step, idx, names[idx - 1], repr(float(score))]
+        for step, (idx, score) in enumerate(trace.steps, start=1)
+    ]
+    path = _write_table(cfg, "selection.csv", ["step", "index", "name", "criterion"], rows)
     print(f"wrote {path} ({len(trace)} features)")
     return 0
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args)
-    X, y, _, _, names = read_feature_csv(args.features)
-    registry = registry_for(cfg.features, channels=cfg.channels)
-    if args.selected == "reference":
-        _check_registry(names, registry, args.features)
-    selected = _parse_selected(args.selected, X.shape[1], registry)
+    cfg, X, y, names, _, selected = _subset_inputs(args, args.selected == "reference")
     cols = np.asarray(selected, dtype=int) - 1
     with _scores_named(args.features, names, cols):
-        result = monte_carlo(
-            X[:, cols],
-            y,
-            k=cfg.cv_folds,
-            runs=cfg.runs,
-            base_seed=cfg.seed,
-            config=cfg.pnn_config(),
-        )
-    os.makedirs(cfg.out, exist_ok=True)
+        result = monte_carlo(X[:, cols], y, **_cv_args(cfg))
+    confusion = result.confusion.tolist()
+    confusion_path = _write_table(
+        cfg,
+        "confusion.csv",
+        ["label", *range(1, len(confusion) + 1)],
+        [[c, *row] for c, row in enumerate(confusion, start=1)],
+    )
     report_path = os.path.join(cfg.out, "report.json")
-    confusion_path = os.path.join(cfg.out, "confusion.csv")
     report = {
         "alpha": result.mean_alpha,
         "kappa": result.mean_kappa,
@@ -238,13 +243,12 @@ def cmd_eval(args) -> int:
         "runs": result.runs,
         "base_seed": result.base_seed,
         "selected": [int(i) for i in selected],
-        "confusion": [[int(v) for v in row] for row in result.confusion],
+        "confusion": confusion,
         "config": cfg.to_dict(),
     }
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    _write_confusion_csv(confusion_path, result.confusion)
     print(f"alpha={result.mean_alpha:.4f} kappa={result.mean_kappa:.4f}")
     print(f"wrote {report_path}")
     print(f"wrote {confusion_path}")
@@ -252,63 +256,29 @@ def cmd_eval(args) -> int:
 
 
 def cmd_relevance(args) -> int:
-    cfg = _load_config(args)
-    X, y, _, _, names = read_feature_csv(args.features)
-    registry = registry_for(cfg.features, channels=cfg.channels)
-    _check_registry(names, registry, args.features)
-    selected = _parse_selected(args.selected, X.shape[1], registry)
+    cfg, X, y, names, registry, selected = _subset_inputs(args)
     with _scores_named(args.features, names):
         results = channel_relevance(
-            X,
-            y,
-            selected,
-            registry,
-            channels=cfg.channels,
-            k=cfg.cv_folds,
-            runs=cfg.runs,
-            base_seed=cfg.seed,
-            config=cfg.pnn_config(),
+            X, y, selected, registry, channels=cfg.channels, **_cv_args(cfg)
         )
-    os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, "relevance.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["channel", "alpha", "kappa"])
-        for ch, res in enumerate(results, start=1):
-            writer.writerow([ch, repr(res.mean_alpha), repr(res.mean_kappa)])
-    print(f"wrote {path}")
+    rows = [[ch, repr(res.mean_alpha), repr(res.mean_kappa)] for ch, res in enumerate(results, 1)]
+    print(f"wrote {_write_table(cfg, 'relevance.csv', ['channel', 'alpha', 'kappa'], rows)}")
     return 0
 
 
 def cmd_ablate(args) -> int:
-    cfg = _load_config(args)
-    X, y, _, _, names = read_feature_csv(args.features)
-    registry = registry_for(cfg.features, channels=cfg.channels)
-    _check_registry(names, registry, args.features)
-    selected = _parse_selected(args.selected, X.shape[1], registry)
+    cfg, X, y, names, registry, selected = _subset_inputs(args)
     groups = ablation_groups(selected, registry)
     groups = {name: idx for name, idx in groups.items() if idx}
     with _scores_named(args.features, names):
-        results = ablation(
-            X,
-            y,
-            groups,
-            k=cfg.cv_folds,
-            runs=cfg.runs,
-            base_seed=cfg.seed,
-            config=cfg.pnn_config(),
-        )
-    os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, "ablation.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["group", "alpha", "kappa", "delta_kappa"])
-        prev = None
-        for name, res in results:
-            delta = "" if prev is None else repr(res.mean_kappa - prev)
-            writer.writerow([name, repr(res.mean_alpha), repr(res.mean_kappa), delta])
-            prev = res.mean_kappa
-    print(f"wrote {path}")
+        results = ablation(X, y, groups, **_cv_args(cfg))
+    rows, prev = [], None
+    for name, res in results:
+        delta = "" if prev is None else repr(res.mean_kappa - prev)
+        rows.append([name, repr(res.mean_alpha), repr(res.mean_kappa), delta])
+        prev = res.mean_kappa
+    header = ["group", "alpha", "kappa", "delta_kappa"]
+    print(f"wrote {_write_table(cfg, 'ablation.csv', header, rows)}")
     return 0
 
 
@@ -359,6 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A shown warning is one line; which warnings show is the filters' call.
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
@@ -367,6 +340,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from emgactions.dataset import read_lines
 from emgactions.features.assemble import FeatureConfig
-from emgactions.pnn import DEFAULT_SIGMA_GRID, PnnConfig
+from emgactions.pnn import PnnConfig
 
 
 @dataclass(frozen=True)
@@ -17,15 +17,14 @@ class ExperimentConfig:
 
     The defaults match the standard physical-action setup: full-trial
     window, 8 channels, 10 spectral bands, 10-fold CV. The extraction
-    settings are the one FeatureConfig in ``features``.
+    settings are the one FeatureConfig in ``features``, the classifier's
+    the one PnnConfig in ``pnn``, whose selection_seed ``seed`` sets.
     """
 
     manifest: str | None = None
     channels: int = 8
     features: FeatureConfig = FeatureConfig()
-    sigma: float | None = None
-    sigma_grid: tuple = DEFAULT_SIGMA_GRID
-    selection_folds: int = 5
+    pnn: PnnConfig = PnnConfig()
     cv_folds: int = 10
     runs: int = 10
     seed: int = 0
@@ -36,20 +35,16 @@ class ExperimentConfig:
     out: str = "."
 
     def pnn_config(self) -> PnnConfig:
-        return PnnConfig(
-            sigma=self.sigma,
-            sigma_grid=self.sigma_grid,
-            selection_folds=self.selection_folds,
-            selection_seed=self.seed,
-        )
+        return replace(self.pnn, selection_seed=self.seed)
 
     def to_dict(self) -> dict:
-        """Flat, JSON-ready view of every resolved setting, the feature
-        settings beside the others."""
+        """Flat, JSON-ready view of every resolved setting, the feature and
+        classifier settings beside the others; selection_seed is seed."""
         out = asdict(self)
-        out.update(out.pop("features"))
+        out.update(out.pop("features"), **out.pop("pnn"))
+        del out["selection_seed"]
         out["pairs"] = ["%d-%d" % p for p in self.features.pairs]
-        out["sigma_grid"] = list(self.sigma_grid)
+        out["sigma_grid"] = list(self.pnn.sigma_grid)
         return out
 
 
@@ -123,8 +118,9 @@ def read_config(path: str) -> ExperimentConfig:
     """Read a flat ``key = value`` config file.
 
     Lines are ``key = value``; '#' starts a comment. Keys match the
-    ExperimentConfig field names, and the FeatureConfig field names, which
-    set ``features``. ``window = full`` and ``sigma = auto``
+    ExperimentConfig field names, the FeatureConfig field names, which set
+    ``features``, and sigma, sigma_grid and selection_folds, which set
+    ``pnn``. ``window = full`` and ``sigma = auto``
     select the defaults explicitly. Relative manifest/out paths are resolved
     against the config file's directory.
     """
@@ -146,7 +142,11 @@ def read_config(path: str) -> ExperimentConfig:
     return cfg
 
 
-_FEATURE_KEYS = {f.name for f in fields(FeatureConfig)}
+# The keys that set a field of a nested config, with that config's name.
+_NESTED_KEYS = {
+    **{f.name: "features" for f in fields(FeatureConfig)},
+    **{key: "pnn" for key in ("sigma", "sigma_grid", "selection_folds")},
+}
 
 
 def _apply_key(cfg: ExperimentConfig, key: str, value: str, base: str) -> ExperimentConfig:
@@ -164,6 +164,7 @@ def _apply_key(cfg: ExperimentConfig, key: str, value: str, base: str) -> Experi
         parsed = _integer(key, value)
     else:
         raise ValueError(f"unknown key {key!r}")
-    if key in _FEATURE_KEYS:
-        return replace(cfg, features=replace(cfg.features, **{key: parsed}))
+    if key in _NESTED_KEYS:
+        nested = _NESTED_KEYS[key]
+        return replace(cfg, **{nested: replace(getattr(cfg, nested), **{key: parsed})})
     return replace(cfg, **{key: parsed})

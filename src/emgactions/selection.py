@@ -336,19 +336,27 @@ def sfs(
     return SelectionTrace(steps)
 
 
-def _constant_prediction_result(y, k: int, runs: int, base_seed: int, n_classes: int) -> MonteCarloResult:
-    # Degenerate evaluation when no features remain: predict the smallest id.
-    y = np.asarray(y, dtype=int)
-    cm = confusion_matrix(y, np.ones_like(y), n_classes=n_classes)
-    alpha = accuracy(cm)
-    kap = kappa(cm)
-    return MonteCarloResult(
-        alphas=np.full(runs, alpha),
-        kappas=np.full(runs, kap),
-        confusion=cm * runs,
-        folds=k,
-        base_seed=base_seed,
-    )
+def _score_subset(X, y, indices, k, runs, base_seed, config) -> MonteCarloResult:
+    """monte_carlo on the columns of X that the 1-based indices name, each
+    at most once; an empty subset scores the constant predictor that labels
+    every pattern 1 (kappa 0). A NonFiniteScoreError names a column of X."""
+    seen = set()
+    for idx in indices:
+        if not 1 <= idx <= X.shape[1]:
+            raise BadIndexError(f"feature index {idx} outside 1..{X.shape[1]}")
+        if idx in seen:
+            raise ValueError(f"feature index {idx} repeated")
+        seen.add(idx)
+    if not indices:
+        cm = confusion_matrix(y, np.ones_like(y), n_classes=int(y.max()))
+        return MonteCarloResult(
+            np.full(runs, accuracy(cm)), np.full(runs, kappa(cm)), cm * runs, k, base_seed
+        )
+    cols = np.asarray(indices, dtype=int) - 1
+    try:
+        return monte_carlo(X[:, cols], y, k=k, runs=runs, base_seed=base_seed, config=config)
+    except NonFiniteScoreError as exc:
+        raise exc.reindexed(columns=cols) from None
 
 
 def channel_relevance(
@@ -376,6 +384,8 @@ def channel_relevance(
     scored by a constant-prediction fallback (kappa 0) and a warning.
 
     Raises:
+        ValueError: an index repeats; the first channel whose remainder
+            keeps it raises.
         NonFiniteScoreError: a row has no finite class score; it names the
             row and column of X.
     """
@@ -383,12 +393,11 @@ def channel_relevance(
         raise NoFeaturesError("selected feature set is empty")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    n_classes = int(y.max())
     for idx in selected:
         registry[int(idx)]
     results = []
     for ch in range(1, channels + 1):
-        kept = tuple(i for i in selected if not registry[int(i)].touches_channel(ch))
+        kept = tuple(int(i) for i in selected if not registry[int(i)].touches_channel(ch))
         if len(kept) == len(selected):
             warnings.warn(
                 f"no selected feature touches channel {ch}",
@@ -401,14 +410,7 @@ def channel_relevance(
                 UserWarning,
                 stacklevel=2,
             )
-            results.append(_constant_prediction_result(y, k, runs, base_seed, n_classes))
-            continue
-        cols = np.asarray(kept, dtype=int) - 1
-        try:
-            result = monte_carlo(X[:, cols], y, k=k, runs=runs, base_seed=base_seed, config=config)
-        except NonFiniteScoreError as exc:
-            raise exc.reindexed(columns=cols) from None
-        results.append(result)
+        results.append(_score_subset(X, y, kept, k, runs, base_seed, config))
     return results
 
 
@@ -437,21 +439,12 @@ def ablation(
     if not groups:
         raise ValueError("groups must be nonempty")
     results = []
-    cumulative: list[int] = []
+    union: set[int] = set()
     for name, indices in groups.items():
-        for idx in indices:
-            if not 1 <= int(idx) <= X.shape[1]:
-                raise BadIndexError(f"feature index {idx} outside 1..{X.shape[1]}")
-            if int(idx) not in cumulative:
-                cumulative.append(int(idx))
-        if not cumulative:
+        union.update(int(idx) for idx in indices)
+        if not union:
             raise NoFeaturesError(f"group {name!r} leaves no features to evaluate")
-        cols = np.asarray(sorted(cumulative), dtype=int) - 1
-        try:
-            result = monte_carlo(X[:, cols], y, k=k, runs=runs, base_seed=base_seed, config=config)
-        except NonFiniteScoreError as exc:
-            raise exc.reindexed(columns=cols) from None
-        results.append((name, result))
+        results.append((name, _score_subset(X, y, sorted(union), k, runs, base_seed, config)))
     return results
 
 

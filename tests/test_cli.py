@@ -146,6 +146,34 @@ class TestExtract:
         assert f"error: no recording found: manifest {manifest} has no 'entry' line" in err
         assert not (tmp_path / "out").exists()
 
+    def test_channel_count_mismatch_names_manifest(self, tmp_path, capsys):
+        # Rejected before any file is read: the entry's file does not exist.
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("trials = 3\nchannels = 4\nentry = absent.txt 1 1\n")
+        rc = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: the manifest has channels = 4 but the config has "
+            "channels = 8; set both to the recordings' channel count\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_four_channel_manifest_and_config(self, tmp_path):
+        for action, name in ACTIONS.items():
+            write_recording(tmp_path / f"{name}.txt", 1, action, channels=4)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(
+            "trials = 3\nchannels = 4\nentry = Bowing.txt 1 1\nentry = Clapping.txt 1 2\n"
+        )
+        config = tmp_path / "run.cfg"
+        config.write_text("channels = 4\npairs = 1-2; 3-4\n")
+        out = tmp_path / "out"
+        argv = ["extract", "--config", str(config), "--manifest", str(manifest), "--out", str(out)]
+        assert main(argv) == 0
+        X, _, _, _, names = read_feature_csv(out / "features.csv")
+        assert X.shape == (6, 4 * 4 + 2 + 4 * 17 + 4 * 10 + 4 * 2)
+        assert names[16:18] == ["ics_ch1_ch2", "ics_ch3_ch4"]
+
     def test_pole_on_grid_is_input_error(self, tmp_path, capsys, monkeypatch):
         # A zeroed channel fits a zero-noise AR model; a stand-in ar_psd fails
         # on exactly that model, as a near-unstable fit would.
@@ -319,8 +347,9 @@ class TestEval:
             ("3\nx\n", ":2: feature index 'x' is not an integer"),
             ("step,index,name\n", ": no feature index in the selection file"),
             ("\n", ": no feature index in the selection file"),
+            ("1\n300\n", ":2: feature index 300 outside 1..276"),
         ],
-        ids=["short_row", "bad_cell", "header_only", "empty"],
+        ids=["short_row", "bad_cell", "header_only", "empty", "out_of_range"],
     )
     def test_bad_selected_file_names_line(self, workspace, tmp_path, capsys, text, message):
         sel = tmp_path / "subset.csv"
@@ -507,6 +536,35 @@ class TestRelevance:
             assert 0.0 <= float(row[1]) <= 1.0
             assert -1.0 <= float(row[2]) <= 1.0
 
+    def test_each_warning_is_one_line(self, workspace, tmp_path):
+        # Channel 1 loses both features; no feature touches channels 2..8.
+        src = os.path.dirname(os.path.dirname(emgactions.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "emgactions.cli", "relevance",
+             "--config", str(workspace["config"]), "--features", str(workspace["features"]),
+             "--selected", "1,2", "--out", str(tmp_path / "rel")],
+            env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True, text=True,
+        )
+        assert done.stderr.splitlines() == [
+            "warning: omitting channel 1 leaves no features; scoring a constant predictor",
+            *(f"warning: no selected feature touches channel {ch}" for ch in range(2, 9)),
+        ]
+
+    def test_warning_filters_still_apply(self, workspace, tmp_path):
+        import warnings
+
+        shown = warnings.formatwarning
+        with pytest.warns(UserWarning) as record:
+            main([
+                "relevance",
+                "--config", str(workspace["config"]),
+                "--features", str(workspace["features"]),
+                "--selected", "1,2",
+                "--out", str(tmp_path / "rel"),
+            ])
+        assert len(record) == 8
+        assert warnings.formatwarning is shown
+
 
 class TestAblate:
     def test_group_rows(self, workspace, tmp_path):
@@ -661,8 +719,8 @@ class TestConfig:
         cfg.write_text("window = full\nsigma = auto\nsigma_grid = 0.1, 0.5\npairs = 1-2; 3-4\n")
         parsed = read_config(str(cfg))
         assert parsed.features.window is None
-        assert parsed.sigma is None
-        assert parsed.sigma_grid == (0.1, 0.5)
+        assert parsed.pnn.sigma is None
+        assert parsed.pnn.sigma_grid == (0.1, 0.5)
         assert parsed.features.pairs == ((1, 2), (3, 4))
 
     def test_feature_keys_reach_features(self, tmp_path):

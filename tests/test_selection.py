@@ -458,6 +458,13 @@ class TestChannelRelevance:
         with pytest.raises(BadIndexError):
             channel_relevance(X, y, (1, 300), reg)
 
+    def test_repeated_index_rejected(self):
+        # Counted twice, index 5's column would weigh double in every distance.
+        reg = build_registry()
+        X, y = labeled_noise(n_cols=45, seed=10)
+        with pytest.warns(ChannelUnusedWarning), pytest.raises(ValueError, match="index 5 "):
+            channel_relevance(X, y, (5, 5, 9), reg, k=5, runs=1, config=FIXED)
+
 
 class TestAblation:
     def test_groups_accumulate(self):
