@@ -334,7 +334,8 @@ def main(argv=None) -> int:
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, UserWarning) as exc:
+        # A UserWarning gets here only as -W error makes one; it flags input.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

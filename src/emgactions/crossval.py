@@ -115,6 +115,15 @@ def kfold_assignment(y, k: int, seed: int) -> np.ndarray:
     return stratified_folds(y, k, seed)
 
 
+def fold_splits(assignment) -> list:
+    """Each fold's (training rows, test rows) in fold order, both ascending
+    index arrays; a fold whose training or test rows are empty is skipped."""
+    rows = np.arange(len(assignment))
+    by_fold = np.argsort(assignment, kind="stable")  # keeps each fold's rows ascending
+    tests = np.split(by_fold, np.cumsum(np.bincount(assignment))[:-1])
+    return [(np.delete(rows, test), test) for test in tests if 0 < test.size < rows.size]
+
+
 def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -> float:
     """Pick the kernel width maximizing internal cross-validated accuracy.
 
@@ -137,22 +146,18 @@ def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -
         raise ValueError("folds must be >= 2")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    assignment = stratified_folds(y, folds, seed)
     correct = [0] * len(grid)
-    for f in range(folds):
-        test = assignment == f
-        if not np.any(test) or np.all(test):
-            continue
+    for train, test in fold_splits(stratified_folds(y, folds, seed)):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptyClassWarning)
-            model = fit_pnn(X[~test], y[~test], grid[0], n_classes=int(y.max()))
+            model = fit_pnn(X[train], y[train], grid[0], n_classes=int(y.max()))
         X_test, y_test = X[test], y[test]
         try:
             for i, sigma in enumerate(grid):
                 labels, _ = replace(model, sigma=sigma).predict_batch(X_test)
                 correct[i] += int(np.count_nonzero(labels == y_test))
         except NonFiniteScoreError as exc:
-            raise exc.reindexed(rows=np.flatnonzero(test)) from None
+            raise exc.reindexed(rows=test) from None
     return grid[int(np.argmax(correct))]
 
 
@@ -179,9 +184,8 @@ def kfold_cv(
     assignment = kfold_assignment(y, k, seed)
     C = int(y.max())
     cm = np.zeros((C, C), dtype=int)
-    for f in range(k):
-        test = assignment == f
-        X_train, y_train = X[~test], y[~test]
+    for train, test in fold_splits(assignment):
+        X_train, y_train = X[train], y[train]
         sigma = config.sigma
         if sigma is None:
             try:
@@ -193,12 +197,12 @@ def kfold_cv(
                     seed=config.selection_seed,
                 )
             except NonFiniteScoreError as exc:
-                raise exc.reindexed(rows=np.flatnonzero(~test)) from None
+                raise exc.reindexed(rows=train) from None
         model = fit_pnn(X_train, y_train, sigma, n_classes=C)
         try:
             labels, _ = model.predict_batch(X[test])
         except NonFiniteScoreError as exc:
-            raise exc.reindexed(rows=np.flatnonzero(test)) from None
+            raise exc.reindexed(rows=test) from None
         cm += confusion_matrix(y[test], labels, n_classes=C)
     return EvalReport(confusion=cm, alpha=accuracy(cm), kappa=kappa(cm))
 

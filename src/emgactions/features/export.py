@@ -37,8 +37,8 @@ def read_feature_csv(path: str):
     """Read a matrix written by write_feature_csv.
 
     The data rows are parsed by one bulk numpy parse. Only when that fails,
-    finds no row or yields a NaN or infinite value is the file read again
-    row by row, to name the offending line and cell.
+    finds no row, or yields a NaN or infinite value or a label below 1 is
+    the file read again row by row, to name the offending line and cell.
 
     Returns:
         (X, y, subjects, trials, names) with names covering the feature
@@ -48,8 +48,8 @@ def read_feature_csv(path: str):
         ValueError: a malformed header or row, a cell that does not parse
             (a feature that is not a number, or a subject id, trial index
             or label that is not an integer), a NaN or infinite feature
-            value, or a byte that is not UTF-8; the message names the file
-            and line, and the column of a bad cell.
+            value, a label below 1, or a byte that is not UTF-8; the
+            message names the file and line, and the column of a bad cell.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = _read_header(csv.reader(fh), path)
@@ -65,7 +65,8 @@ def read_feature_csv(path: str):
         except (ValueError, DeprecationWarning):
             # A UnicodeDecodeError is a ValueError: the row reader names it.
             rows = None
-    if rows is None or rows.size == 0 or not np.isfinite(rows["X"]).all():
+    parsed = rows is not None and rows.size > 0 and rows["label"].min() >= 1
+    if not (parsed and np.isfinite(rows["X"]).all()):
         return _read_lines(path)
     return (
         np.ascontiguousarray(rows["X"]),
@@ -106,6 +107,8 @@ def _read_lines(path: str):
             labels.append(int(row[-1]))
         except ValueError:
             raise _cell_error(f"{path}:{line_no}", header, row) from None
+        if labels[-1] < 1:
+            raise ValueError(f"{path}:{line_no}: label {labels[-1]} in column 'label' is below 1")
         line_nos.append(line_no)
     if not rows:
         raise ValueError(f"{path}: no data rows")

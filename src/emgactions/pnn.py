@@ -107,8 +107,6 @@ class PnnModel:
         class_ids: ascending class ids that have exemplars.
         counts: exemplar count per entry of class_ids.
         sigma: Gaussian kernel width, finite and > 0.
-        priors: prior probability per class id in 1..n_classes, 1 / n_classes
-            each.
         n_classes: label range size C.
     """
 
@@ -118,7 +116,6 @@ class PnnModel:
     class_ids: np.ndarray
     counts: np.ndarray
     sigma: float
-    priors: np.ndarray
     n_classes: int
 
     @property
@@ -158,17 +155,17 @@ class PnnModel:
             np.maximum(k, 0.0, out=k)
             try:
                 return classify_distances(
-                    k, self.sigma, self.counts, self.class_ids, self.priors, self.n_classes
+                    k, self.sigma, self.counts, self.class_ids, self.n_classes
                 )
             except NonFiniteScoreError as exc:
                 raise overflow_error(exc.row, Xn[exc.row]) from None
 
 
-def classify_distances(d2, sigma, counts, class_ids, priors, n_classes):
+def classify_distances(d2, sigma, counts, class_ids, n_classes):
     """Label queries from their squared distances to class-sorted exemplars.
 
     The one classification kernel behind PnnModel.predict_batch and the SFS
-    criterion. Scores are prior_c * mean_i exp(-d2_i / (2 sigma^2)) over the
+    criterion. Scores are (1 / C) * mean_i exp(-d2_i / (2 sigma^2)) over the
     exemplars of class c. Exponents are shifted by their per-row maximum
     before exponentiation; the common factor cancels in the normalization,
     so posteriors are unchanged while tiny sigmas stay clear of underflow:
@@ -183,7 +180,6 @@ def classify_distances(d2, sigma, counts, class_ids, priors, n_classes):
         sigma: kernel width.
         counts: exemplar count per entry of class_ids, in column order.
         class_ids: ascending class ids that have exemplars.
-        priors: prior per class id in 1..n_classes.
         n_classes: label range size C.
 
     Returns:
@@ -213,8 +209,7 @@ def classify_distances(d2, sigma, counts, class_ids, priors, n_classes):
     kernel_mean = np.add.reduceat(k, starts, axis=1) / counts
     n = k.shape[0]
     scores = np.zeros((n, n_classes))
-    cols = class_ids - 1
-    scores[:, cols] = priors[cols] * kernel_mean
+    scores[:, class_ids - 1] = kernel_mean * (1.0 / n_classes)
     totals = scores.sum(axis=1)
     bad = ~(totals > 0.0)
     if bad.any():
@@ -244,7 +239,7 @@ def _require_finite(X: np.ndarray, what: str) -> None:
 
 
 def fit_pnn(X, y, sigma: float, n_classes: int | None = None) -> PnnModel:
-    """Store normalized exemplars sorted by class, with uniform priors.
+    """Store normalized exemplars sorted by class.
 
     Args:
         X: (P, D) training matrix, nonempty and finite.
@@ -261,12 +256,13 @@ def fit_pnn(X, y, sigma: float, n_classes: int | None = None) -> PnnModel:
         EmptyClassWarning: a label in 1..C has no exemplar.
     """
     X = np.asarray(X, dtype=float)
-    order, fitted = fit_statistics(X, y, sigma, n_classes)
-    return PnnModel(exemplars=(X[order] - fitted["mean"]) / fitted["scale"], **fitted)
+    order, fitted = fit_statistics(X, y, n_classes)
+    sigma = check_sigma(sigma)
+    return PnnModel(exemplars=(X[order] - fitted["mean"]) / fitted["scale"], sigma=sigma, **fitted)
 
 
-def fit_statistics(X, y, sigma: float, n_classes: int | None = None):
-    """fit_pnn's checks, warnings and fitted state but the exemplar matrix.
+def fit_statistics(X, y, n_classes: int | None = None):
+    """fit_pnn's checks of X and y, warnings and fitted state but exemplars and sigma.
 
     Returns (order, fitted): the stable class-sorted order of the rows of X,
     and every other PnnModel field by name.
@@ -278,7 +274,6 @@ def fit_statistics(X, y, sigma: float, n_classes: int | None = None):
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y lengths differ")
     _require_finite(X, "training")
-    sigma = check_sigma(sigma)
     if np.any(y < 1):
         raise ValueError("labels must be >= 1")
     C = int(n_classes) if n_classes is not None else int(y.max())
@@ -304,7 +299,5 @@ def fit_statistics(X, y, sigma: float, n_classes: int | None = None):
         scale=scale,
         class_ids=class_ids,
         counts=per_class[class_ids - 1],
-        sigma=sigma,
-        priors=np.full(C, 1.0 / C),
         n_classes=C,
     )

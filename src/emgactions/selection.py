@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from emgactions.crossval import MonteCarloResult, kfold_assignment, monte_carlo
+from emgactions.crossval import MonteCarloResult, fold_splits, kfold_assignment, monte_carlo
 from emgactions.crossval import kfold_cv  # noqa: F401 - perfbench/tracing.py patches it here
 from emgactions.features.registry import BadIndexError, FeatureRegistry
 from emgactions.features.spectral import LMF_COUNT
@@ -20,6 +20,7 @@ from emgactions.metrics import accuracy, confusion_matrix, kappa
 from emgactions.pnn import (
     NonFiniteScoreError,
     PnnConfig,
+    check_sigma,
     classify_distances,
     fit_statistics,
     overflow_error,
@@ -125,9 +126,10 @@ def cv_accuracy_criterion(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    assignment = kfold_assignment(y, k, seed)
+    splits = fold_splits(kfold_assignment(y, k, seed))
     C = int(y.max())
-    folds = [_Fold(X, y, assignment == f, sigma, C) for f in range(k)]
+    folds = [_Fold(X, y, train, test, C) for train, test in splits]
+    sigma = check_sigma(sigma)
     n_train = max(fold.exemplars.size for fold in folds)
     cells_per_candidate = sum(fold.test.size * fold.exemplars.size for fold in folds)
 
@@ -155,7 +157,7 @@ def cv_accuracy_criterion(
                             d2 += prefix
                         try:
                             labels, _ = classify_distances(
-                                d2, fold.sigma, fold.counts, fold.class_ids, fold.priors, C
+                                d2, sigma, fold.counts, fold.class_ids, C
                             )
                         except NonFiniteScoreError as exc:
                             # Only an earlier candidate can still fail first.
@@ -257,11 +259,10 @@ class _Fold:
     exemplar order, which the columns of its distance arrays follow.
     """
 
-    def __init__(self, X, y, test, sigma, n_classes):
-        train = np.flatnonzero(~test)
-        order, fitted = fit_statistics(X[train], y[train], sigma, n_classes)
+    def __init__(self, X, y, train, test, n_classes):
+        order, fitted = fit_statistics(X[train], y[train], n_classes)
         self.X = X
-        self.test = np.flatnonzero(test)
+        self.test = test
         self.exemplars = train[order]
         vars(self).update(fitted)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import emgactions
+from emgactions import cli
 from emgactions.cli import main
 from emgactions.features.autoregressive import PoleOnGridError
 from emgactions.features.export import read_feature_csv
@@ -493,6 +494,26 @@ class TestEval:
         assert f"{bad}:4: {problem} value {cell!r} in column {rows[0][column]!r}" in err
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "select"])
+    def test_label_below_1_names_line(self, workspace, tmp_path, capsys, command):
+        # Were it read, label 0 would fail the fold count: "class 0 has 1 samples".
+        rows = rows_of(workspace["features"])
+        rows[3][-1] = "0"
+        bad = tmp_path / "features.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        rc = main([
+            command,
+            "--config", str(workspace["config"]),
+            "--features", str(bad),
+            *(("--selected", "1,2,3") if command == "eval" else ()),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        message = f"error: {bad}:4: label 0 in column 'label' is below 1\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+
     def test_byte_identical_across_blas_threads(self, tmp_path):
         # Large enough that OpenBLAS splits the distance matmuls across threads.
         X, y = blobs(n_per_class=100, n_classes=4, dim=40, spread=2.0, separation=0.5, seed=3)
@@ -564,6 +585,42 @@ class TestRelevance:
             ])
         assert len(record) == 8
         assert warnings.formatwarning is shown
+
+
+    def test_warning_made_an_error_exits_2(self, workspace, tmp_path, capsys):
+        # As under python -W error::UserWarning: the warning flags the subset.
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            rc = main([
+                "relevance",
+                "--config", str(workspace["config"]),
+                "--features", str(workspace["features"]),
+                "--selected", "1,2",
+                "--out", str(tmp_path / "rel"),
+            ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: omitting channel 1 leaves no features; scoring a constant predictor\n"
+        )
+
+    def test_other_warning_made_an_error_is_internal(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        def deprecated(*args, **kwargs):
+            raise DeprecationWarning("old call")
+
+        monkeypatch.setattr(cli, "channel_relevance", deprecated)
+        rc = main([
+            "relevance",
+            "--config", str(workspace["config"]),
+            "--features", str(workspace["features"]),
+            "--selected", "1,2",
+            "--out", str(tmp_path / "rel"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "internal error: DeprecationWarning: old call\n"
 
 
 class TestAblate:

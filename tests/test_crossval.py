@@ -4,6 +4,7 @@ import pytest
 from emgactions.crossval import (
     MonteCarloResult,
     TooFewSamplesError,
+    fold_splits,
     kfold_assignment,
     kfold_cv,
     monte_carlo,
@@ -36,6 +37,42 @@ class TestStratifiedFolds:
         assert np.array_equal(a, b)
         others = [stratified_folds(y, 4, seed=s) for s in range(5)]
         assert any(not np.array_equal(a, o) for o in others)
+
+
+class TestFoldSplits:
+    @pytest.mark.parametrize("k, seed", [(2, 0), (3, 1), (5, 2), (10, 3)])
+    def test_test_rows_partition_and_train_is_complement(self, k, seed):
+        y = np.repeat(np.arange(1, 4), 12)
+        assignment = kfold_assignment(y, k, seed)
+        splits = fold_splits(assignment)
+        assert len(splits) == k
+        tests = np.concatenate([test for _, test in splits])
+        assert np.array_equal(np.sort(tests), np.arange(y.size))
+        for f, (train, test) in enumerate(splits):
+            assert np.array_equal(test, np.flatnonzero(assignment == f))
+            assert np.array_equal(train, np.flatnonzero(assignment != f))
+
+    @pytest.mark.parametrize(
+        "assignment, folds",
+        [
+            ([0, 0, 0], []),
+            ([2, 0, 2, 0], [([0, 2], [1, 3]), ([1, 3], [0, 2])]),
+            ([1, 1], []),
+            ([], []),
+        ],
+    )
+    def test_degenerate_folds_skipped(self, assignment, folds):
+        # Fold 1 of [2, 0, 2, 0] tests no row; a lone fold trains on none.
+        got = [(train.tolist(), test.tolist()) for train, test in fold_splits(assignment)]
+        assert got == folds
+
+    def test_inner_splits_of_a_tiny_class_skip_empty_folds(self):
+        # One class-2 row and two class-1 rows in 5 folds: folds 2..4 are empty.
+        assignment = stratified_folds(np.array([1, 2, 1]), 5, 0)
+        splits = fold_splits(assignment)
+        assert len(splits) == 2
+        for train, test in splits:
+            assert train.size and test.size and train.size + test.size == 3
 
 
 class TestKfold:

@@ -94,6 +94,8 @@ def test_writer_bytes_equal_csv_writer(tmp_path_factory, X, seed):
         (["0.5", "1.5", "1", "2", "1e0"], "non-integer value '1e0' in column 'label'"),
         (["0.5", "1.5", "1", "2", "1", "7"], "expected 5 fields, got 6"),
         (["0.5", "1", "2", "1"], "expected 5 fields, got 4"),
+        (["0.5", "1.5", "1", "2", "0"], "label 0 in column 'label' is below 1"),
+        (["0.5", "1.5", "1", "2", "-2"], "label -2 in column 'label' is below 1"),
     ],
 )
 def test_bulk_read_rejects_through_row_reader(tmp_path, row, message):

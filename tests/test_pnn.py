@@ -62,7 +62,7 @@ class TestFit:
         # class-sorted, each class keeping its training order
         stable = np.argsort(y[order], kind="stable")
         assert np.array_equal(model.exemplars, (X[order][stable] - model.mean) / model.scale)
-        assert model.priors.tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 3])
+        assert model.sigma == 0.5
 
     def test_nonpositive_sigma_rejected(self):
         X, y = blobs(n_per_class=3, seed=0)
@@ -312,7 +312,7 @@ class TestUnderflowMask:
         for sigma in DEFAULT_SIGMA_GRID:
             bands += exp_bands(d2, sigma)
             want = plain_exp_kernel(d2, sigma, counts, class_ids, priors, n_classes)
-            got = classify_distances(d2.copy(), sigma, counts, class_ids, priors, n_classes)
+            got = classify_distances(d2.copy(), sigma, counts, class_ids, n_classes)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
             subnormal_posteriors += int(np.sum((want[1] > 0.0) & (want[1] < tiny)))
@@ -329,7 +329,7 @@ class TestUnderflowMask:
         priors = np.array([0.5, 0.5])
         for rows in (slice(None), [1, 1, 1, 1]):
             want = plain_exp_kernel(d2[rows], 0.05, counts, class_ids, priors, 2)
-            got = classify_distances(d2[rows].copy(), 0.05, counts, class_ids, priors, 2)
+            got = classify_distances(d2[rows].copy(), 0.05, counts, class_ids, 2)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
             assert got[1][0, 1] > 0.0
@@ -344,7 +344,7 @@ class TestUnderflowMask:
             d2[1, 4] = np.nan
         counts, class_ids = np.array([3, 3]), np.array([1, 2])
         with pytest.raises(NonFiniteScoreError, match=f"^query row {row} has no finite") as info:
-            classify_distances(d2, 0.3, counts, class_ids, np.array([0.5, 0.5]), 2)
+            classify_distances(d2, 0.3, counts, class_ids, 2)
         assert info.value.row == row
 
 
