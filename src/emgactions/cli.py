@@ -19,6 +19,15 @@ import time
 import warnings
 from dataclasses import replace
 
+# A large eval, relevance or ablate call scores its folds in forked processes,
+# one per usable CPU; a BLAS thread per CPU in each of them would
+# oversubscribe the CPUs. numpy's BLAS reads its thread count once, as it
+# loads, so this holds for a process that starts with this module and names
+# no count itself.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(var in os.environ for var in _BLAS_THREADS):
+    os.environ["OMP_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from emgactions.crossval import monte_carlo
@@ -243,6 +252,7 @@ def cmd_eval(args) -> int:
         "runs": result.runs,
         "base_seed": result.base_seed,
         "selected": [int(i) for i in selected],
+        "sigmas": [list(run) for run in result.sigmas],
         "confusion": confusion,
         "config": cfg.to_dict(),
     }

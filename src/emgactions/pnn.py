@@ -141,7 +141,7 @@ class PnnModel:
             raise DimensionMismatchError(
                 f"expected {self.n_features} features, got shape {X.shape}"
             )
-        _require_finite(X, "query")
+        require_finite(X, "query")
         # NonFiniteScoreError reports an overflow; numpy need not warn first.
         with np.errstate(over="ignore", invalid="ignore"):
             Xn = (X - self.mean) / self.scale
@@ -231,14 +231,16 @@ def check_sigma(sigma) -> float:
     return sigma
 
 
-def _require_finite(X: np.ndarray, what: str) -> None:
+def require_finite(X: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first NaN or infinite cell of the 2-d X as
+    `<what> row <r> column <c>`."""
     finite = np.isfinite(X)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]
         raise ValueError(f"{what} row {r} column {c} is {float(X[r, c])!r}; values must be finite")
 
 
-def fit_pnn(X, y, sigma: float, n_classes: int | None = None) -> PnnModel:
+def fit_pnn(X, y, sigma: float, n_classes: int | None = None, warn: bool = True) -> PnnModel:
     """Store normalized exemplars sorted by class.
 
     Args:
@@ -246,6 +248,7 @@ def fit_pnn(X, y, sigma: float, n_classes: int | None = None) -> PnnModel:
         y: labels in 1..C.
         sigma: kernel width, finite and > 0.
         n_classes: C; default max(y).
+        warn: whether a class without exemplars warns.
 
     Raises:
         NonPositiveSigmaError: sigma is not finite and > 0.
@@ -253,15 +256,16 @@ def fit_pnn(X, y, sigma: float, n_classes: int | None = None) -> PnnModel:
             labels are invalid.
 
     Warns:
-        EmptyClassWarning: a label in 1..C has no exemplar.
+        EmptyClassWarning: a label in 1..C has no exemplar, unless warn is
+            false.
     """
     X = np.asarray(X, dtype=float)
-    order, fitted = fit_statistics(X, y, n_classes)
+    order, fitted = fit_statistics(X, y, n_classes, warn)
     sigma = check_sigma(sigma)
     return PnnModel(exemplars=(X[order] - fitted["mean"]) / fitted["scale"], sigma=sigma, **fitted)
 
 
-def fit_statistics(X, y, n_classes: int | None = None):
+def fit_statistics(X, y, n_classes: int | None = None, warn: bool = True):
     """fit_pnn's checks of X and y, warnings and fitted state but exemplars and sigma.
 
     Returns (order, fitted): the stable class-sorted order of the rows of X,
@@ -273,7 +277,7 @@ def fit_statistics(X, y, n_classes: int | None = None):
         raise ValueError("training matrix must be 2-d and nonempty")
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y lengths differ")
-    _require_finite(X, "training")
+    require_finite(X, "training")
     if np.any(y < 1):
         raise ValueError("labels must be >= 1")
     C = int(n_classes) if n_classes is not None else int(y.max())
@@ -281,7 +285,7 @@ def fit_statistics(X, y, n_classes: int | None = None):
         raise ValueError(f"label {y.max()} exceeds n_classes={C}")
     per_class = np.bincount(y, minlength=C + 1)[1:]
     missing = (np.flatnonzero(per_class == 0) + 1).tolist()
-    if missing:
+    if missing and warn:
         warnings.warn(
             f"classes without exemplars can never be predicted: {missing}",
             EmptyClassWarning,

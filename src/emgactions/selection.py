@@ -6,13 +6,18 @@ of the feature registry; matrix columns are indexed internally as index-1.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from emgactions.crossval import MonteCarloResult, fold_splits, kfold_assignment, monte_carlo
+from emgactions.crossval import (
+    MonteCarloResult,
+    fold_splits,
+    kfold_assignment,
+    map_chunks,
+    monte_carlo,
+)
 from emgactions.crossval import kfold_cv  # noqa: F401 - perfbench/tracing.py patches it here
 from emgactions.features.registry import BadIndexError, FeatureRegistry
 from emgactions.features.spectral import LMF_COUNT
@@ -24,6 +29,7 @@ from emgactions.pnn import (
     classify_distances,
     fit_statistics,
     overflow_error,
+    require_finite,
 )
 
 
@@ -60,19 +66,6 @@ class SelectionTrace:
 # Test rows the criterion scores at once; they size its two buffers.
 ROW_BLOCK = 128
 
-# Distance cells (candidates x test rows x training rows) a step must hold
-# for each process it runs beyond this one; a smaller step stays serial,
-# since forking a process costs more than scoring a few cells.
-FORK_CELLS = 1 << 24
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
 
 def cv_accuracy_criterion(
     X,
@@ -98,12 +91,11 @@ def cv_accuracy_criterion(
     selected columns, in order, and adds each candidate's column to that
     sum. Memory: two float64 (ROW_BLOCK, n_train) buffers per call.
 
-    A call whose step holds FORK_CELLS distance cells or more per extra
-    process scores contiguous chunks of the candidates at once, one per
-    usable CPU: this process scores the first and a forked child process
-    each other, with the same arithmetic, so every score keeps its bits.
-    Every child has exited before the call returns or raises. Where
-    os.fork is missing, or one CPU is usable, a call stays serial.
+    A call whose step holds crossval.FORK_CELLS distance cells or more
+    per extra process scores contiguous chunks of the candidates at once
+    through crossval.map_chunks, one per usable CPU, with the same
+    arithmetic, so every score keeps its bits and the first failing
+    candidate fails.
 
     The distances are summed directly as sum_j (x_j - e_j)^2 where
     PnnModel.predict_batch expands them, and numpy sums a lone column
@@ -114,18 +106,19 @@ def cv_accuracy_criterion(
 
     Raises:
         ValueError: k < 2, or a value of X is NaN or infinite (named by
-            its row in a fold's training rows and its column).
+            its row and column of X).
         NonFiniteScoreError: raised by a call whose squared distances
             overflow for some row of X; it names that row and the column
             of X farthest from its training mean, for the first candidate
             that overflows and its first such fold.
         NonPositiveSigmaError: sigma is not finite and > 0.
         TooFewSamplesError: some class has fewer than k samples.
-        RuntimeError: raised by a call whose child process exited without
+        RuntimeError: raised by a call whose forked process exited without
             sending its scores.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
+    require_finite(X, "X")
     splits = fold_splits(kfold_assignment(y, k, seed))
     C = int(y.max())
     folds = [_Fold(X, y, train, test, C) for train, test in splits]
@@ -133,9 +126,9 @@ def cv_accuracy_criterion(
     n_train = max(fold.exemplars.size for fold in folds)
     cells_per_candidate = sum(fold.test.size * fold.exemplars.size for fold in folds)
 
-    def score(selected, candidates) -> tuple:
-        """(correct count per candidate, None), or (counts, the error of
-        the first candidate whose distances overflow)."""
+    def score(selected, candidates) -> list:
+        """Correct count per candidate; raises the error of the first
+        candidate whose distances overflow."""
         summed, buffer = np.empty((2, ROW_BLOCK * n_train))
         correct = [0] * len(candidates)
         failure, limit = None, len(candidates)
@@ -167,90 +160,23 @@ def cv_accuracy_criterion(
                             limit = i
                             break
                         correct[i] += int(np.count_nonzero(labels == y_rows))
-        return correct, failure
+        if failure is not None:
+            raise failure
+        return correct
 
     def criterion(selected, candidates) -> list:
         selected = [int(i) - 1 for i in selected]
         candidates = [int(i) - 1 for i in candidates]
         if not candidates:
             raise NoFeaturesError("no candidate feature to score")
-        n = len(candidates)
-        processes = min(n, 1 + n * cells_per_candidate // FORK_CELLS)
-        if processes > 1:
-            processes = min(processes, usable_cpus()) if hasattr(os, "fork") else 1
-        bounds = [n * p // processes for p in range(processes + 1)]
-        chunks = [candidates[a:b] for a, b in zip(bounds, bounds[1:])]
-        correct = []
         # Chunks keep candidate order, so the first failing chunk holds the
         # first failing candidate.
-        for counts, failure in _map_forked(lambda chunk: score(selected, chunk), chunks):
-            if failure is not None:
-                raise failure
-            correct += counts
-        return [count / y.size for count in correct]
+        chunks = map_chunks(
+            lambda chunk: score(selected, chunk), candidates, len(candidates) * cells_per_candidate
+        )
+        return [count / y.size for counts in chunks for count in counts]
 
     return criterion
-
-
-def _map_forked(fn, items) -> list:
-    """[fn(item) for item in items], with fn(items[0]) computed here while a
-    forked child process computes each other item.
-
-    A child sends its pickled result through a pipe and leaves by os._exit,
-    so it never returns into the caller's code. Every child is reaped before
-    this returns or raises; if this process fails first, its children are
-    killed.
-
-    Raises:
-        RuntimeError: a child exited without sending its result.
-    """
-    if len(items) == 1:
-        return [fn(items[0])]
-    import pickle
-    import signal
-
-    children = []  # (pid, read end of the pipe it writes to)
-    statuses = []
-    try:
-        for item in items[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                status = 1
-                try:
-                    with open(write, "wb") as fh:
-                        pickle.dump(fn(item), fh, pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write)
-            children.append((pid, read))
-        results = [fn(items[0])]
-        payloads = []
-        for _, read in children:
-            with open(read, "rb", closefd=False) as fh:
-                payloads.append(fh.read())
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, read in children:
-            os.close(read)
-            statuses.append(os.waitpid(pid, 0)[1])
-    for (pid, _), data, status in zip(children, payloads, statuses):
-        if not data:
-            raise RuntimeError(
-                f"criterion process {pid} exited without sending its scores "
-                f"(exit code {os.waitstatus_to_exitcode(status)})"
-            )
-        results.append(pickle.loads(data))
-    return results
 
 
 class _Fold:
@@ -351,7 +277,8 @@ def _score_subset(X, y, indices, k, runs, base_seed, config) -> MonteCarloResult
     if not indices:
         cm = confusion_matrix(y, np.ones_like(y), n_classes=int(y.max()))
         return MonteCarloResult(
-            np.full(runs, accuracy(cm)), np.full(runs, kappa(cm)), cm * runs, k, base_seed
+            np.full(runs, accuracy(cm)), np.full(runs, kappa(cm)), cm * runs, k, base_seed,
+            sigmas=((),) * runs,
         )
     cols = np.asarray(indices, dtype=int) - 1
     try:

@@ -1,10 +1,35 @@
-"""Synthetic data generators shared across the test suite."""
+"""Synthetic data generators and helpers shared across the test suite."""
 
 from __future__ import annotations
 
-import numpy as np
+import os
 
+import numpy as np
+import pytest
+
+from emgactions import crossval
 from emgactions.dataset import Recording
+
+
+def force_fork(monkeypatch, cpus):
+    """Fork every call that crossval.map_chunks runs, on cpus CPUs; returns
+    the list of pids forked, which grows as calls fork."""
+    monkeypatch.setattr(crossval, "FORK_CELLS", 1)
+    monkeypatch.setattr(crossval, "usable_cpus", lambda: cpus)
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def blobs(n_per_class=20, n_classes=2, dim=5, spread=0.2, separation=3.0, seed=0):

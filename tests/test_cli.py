@@ -11,6 +11,8 @@ import pytest
 import emgactions
 from emgactions import cli
 from emgactions.cli import main
+from emgactions.crossval import monte_carlo
+from emgactions.experiment import read_config
 from emgactions.features.autoregressive import PoleOnGridError
 from emgactions.features.export import read_feature_csv
 from emgactions.features.registry import build_registry
@@ -293,6 +295,22 @@ class TestEval:
         assert rows[0] == ["label", "1", "2"]
         assert len(rows) == 3
 
+    def test_report_records_each_folds_sigma(self, workspace, tmp_path):
+        out = tmp_path / "eval"
+        assert self.run_eval(workspace, out) == 0
+        assert json.loads((out / "report.json").read_text())["sigmas"] == [[0.5] * 3] * 2
+        auto = tmp_path / "auto.cfg"
+        auto.write_text("cv_folds = 3\nruns = 2\nsigma = auto\nselection_folds = 2\n")
+        assert main([
+            "eval", "--config", str(auto), "--features", str(workspace["features"]),
+            "--selected", "1,2,3", "--out", str(out),
+        ]) == 0
+        X, y, _, _, _ = read_feature_csv(str(workspace["features"]))
+        cfg = read_config(str(auto))
+        expected = monte_carlo(X[:, :3], y, k=3, runs=2, base_seed=0, config=cfg.pnn_config())
+        report = json.loads((out / "report.json").read_text())
+        assert report["sigmas"] == [list(run) for run in expected.sigmas]
+
     def test_reruns_byte_identical(self, workspace, tmp_path):
         out = tmp_path / "eval"
         assert self.run_eval(workspace, out) == 0
@@ -513,6 +531,21 @@ class TestEval:
         message = f"error: {bad}:4: label 0 in column 'label' is below 1\n"
         assert capsys.readouterr().err == message
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "named, expected", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, None)], ids=["unset", "set"]
+    )
+    def test_command_runs_blas_on_one_thread_unless_told(self, named, expected):
+        # The forked folds are the parallelism; a BLAS pool per CPU in each
+        # of them would oversubscribe the CPUs.
+        src = os.path.dirname(os.path.dirname(emgactions.__file__))
+        env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREADS}
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import os, emgactions.cli; print(os.environ.get('OMP_NUM_THREADS'))"],
+            env=dict(env, PYTHONPATH=src, **named), check=True, capture_output=True, text=True,
+        )
+        assert done.stdout == f"{expected}\n"
 
     def test_byte_identical_across_blas_threads(self, tmp_path):
         # Large enough that OpenBLAS splits the distance matmuls across threads.

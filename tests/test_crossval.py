@@ -1,7 +1,13 @@
+import os
+import signal
+import warnings
+
 import numpy as np
 import pytest
 
+from emgactions import crossval
 from emgactions.crossval import (
+    EmptyGridError,
     MonteCarloResult,
     TooFewSamplesError,
     fold_splits,
@@ -11,8 +17,8 @@ from emgactions.crossval import (
     select_sigma,
     stratified_folds,
 )
-from emgactions.pnn import NonFiniteScoreError, PnnConfig
-from ._synth import blobs
+from emgactions.pnn import DEFAULT_SIGMA_GRID, NonFiniteScoreError, NonPositiveSigmaError, PnnConfig
+from ._synth import assert_no_child_left, blobs, force_fork
 
 FIXED = PnnConfig(sigma=0.5)
 
@@ -186,3 +192,247 @@ class TestMonteCarlo:
         X, y = blobs(n_per_class=5, seed=11)
         with pytest.raises(ValueError):
             monte_carlo(X, y, k=2, runs=0, config=FIXED)
+
+
+class TestFoldSigmas:
+    def test_fixed_sigma_recorded_per_fold(self):
+        X, y = blobs(n_per_class=12, n_classes=3, spread=1.5, seed=12)
+        assert kfold_cv(X, y, k=4, config=FIXED, seed=1).sigmas == (0.5,) * 4
+
+    def test_selected_sigma_recorded_per_fold(self):
+        X, y = blobs(n_per_class=12, n_classes=3, dim=3, spread=1.5, separation=1.0, seed=13)
+        config = PnnConfig(sigma=None, selection_folds=3, selection_seed=2)
+        report = kfold_cv(X, y, k=4, config=config, seed=1)
+        expected = tuple(
+            select_sigma(X[train], y[train], DEFAULT_SIGMA_GRID, folds=3, seed=2)
+            for train, _ in fold_splits(kfold_assignment(y, 4, 1))
+        )
+        assert report.sigmas == expected
+        assert len(set(expected)) > 1  # the folds chose differently
+
+    def test_monte_carlo_keeps_each_runs_sigmas(self):
+        X, y = blobs(n_per_class=12, n_classes=3, dim=3, spread=1.5, separation=1.0, seed=13)
+        config = PnnConfig(sigma=None, selection_folds=3)
+        mc = monte_carlo(X, y, k=4, runs=3, base_seed=5, config=config)
+        assert mc.sigmas == tuple(
+            kfold_cv(X, y, k=4, config=config, seed=5 + r).sigmas for r in range(3)
+        )
+
+
+class TestNonFiniteX:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda X, y: kfold_cv(X, y, k=3, config=PnnConfig(sigma=None)),
+            lambda X, y: kfold_cv(X, y, k=3, config=PnnConfig(sigma=0.5)),
+            lambda X, y: select_sigma(X, y),
+        ],
+        ids=["kfold_auto", "kfold_fixed", "select_sigma"],
+    )
+    def test_names_the_row_and_column_of_x(self, monkeypatch, call):
+        # Each call used to name the row within some fold's rows instead.
+        X, y = blobs(n_per_class=10, n_classes=3, dim=3, seed=40)
+        X[4, 1] = np.nan
+        forked = force_fork(monkeypatch, 2)
+        with pytest.raises(ValueError, match=r"^X row 4 column 1 is nan; values must be finite$"):
+            call(X, y)
+        assert forked == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedFolds:
+    """A large kfold_cv call scores contiguous fold chunks in forked children."""
+
+    AUTO = PnnConfig(sigma=None, selection_folds=3)
+
+    @staticmethod
+    def matrix():
+        return blobs(n_per_class=12, n_classes=3, dim=3, spread=1.5, separation=1.0, seed=21)
+
+    @staticmethod
+    def overflow_in(X, y, k, fold):
+        """X with a column appended whose values spread 5e-161 except at the
+        first test row of fold, whose 1e-3 overflows that fold's squared
+        distances alone; and that row."""
+        column = np.resize([0.0, 1e-160], y.size)
+        row = int(np.flatnonzero(kfold_assignment(y, k, 0) == fold)[0])
+        column[row] = 1e-3
+        return np.hstack([X, column[:, np.newaxis]]), row
+
+    @staticmethod
+    def same(a, b):
+        return (
+            np.array_equal(a.confusion, b.confusion)
+            and (a.alpha, a.kappa, a.sigmas) == (b.alpha, b.kappa, b.sigmas)
+        )
+
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    @pytest.mark.parametrize("sigma", [0.5, None], ids=["fixed", "auto"])
+    def test_report_equals_serial_bit_for_bit(self, monkeypatch, cpus, sigma):
+        # At 8 CPUs the call has fewer folds than CPUs.
+        X, y = self.matrix()
+        config = PnnConfig(sigma=sigma, selection_folds=3)
+        serial = [kfold_cv(X, y, k=5, config=config, seed=s) for s in (0, 1)]
+        forked = force_fork(monkeypatch, cpus)
+        for seed, expected in zip((0, 1), serial):
+            del forked[:]
+            assert self.same(kfold_cv(X, y, k=5, config=config, seed=seed), expected)
+            assert len(forked) == min(cpus, 5) - 1
+            assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "k, cpus, folds",
+        [(4, 2, (3,)), (6, 3, (3, 5)), (4, 2, (1, 2)), (4, 2, (3, 2))],
+        ids=["child", "two_children", "parent_and_child", "later_in_a_child"],
+    )
+    def test_overflow_raises_as_serial(self, monkeypatch, k, cpus, folds):
+        # Chunks of k=4 on 2 CPUs: folds 0-1 here, 2-3 in a child; of k=6 on
+        # 3 CPUs: 0-1, 2-3, 4-5. Serial, the first failing fold raises.
+        X, y = self.matrix()
+        rows = {}
+        for fold in folds:
+            X, rows[fold] = self.overflow_in(X, y, k, fold)
+        with pytest.raises(NonFiniteScoreError) as expected:
+            kfold_cv(X, y, k=k, config=FIXED)
+        assert expected.value.row == rows[min(folds)]
+        forked = force_fork(monkeypatch, cpus)
+        with pytest.raises(NonFiniteScoreError) as info:
+            kfold_cv(X, y, k=k, config=FIXED)
+        assert len(forked) == cpus - 1
+        assert_no_child_left()
+        assert str(info.value) == str(expected.value)
+        assert (info.value.row, info.value.column) == (expected.value.row, expected.value.column)
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            NonFiniteScoreError(2, 1, 3.0),
+            NonPositiveSigmaError("sigma must be finite and > 0, got -1.0"),
+            EmptyGridError("sigma grid is empty"),
+            ValueError("folds must be >= 2"),
+        ],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_error_in_a_child_keeps_type_and_message(self, monkeypatch, error):
+        # The sigma search fails in the fold that tests the marked row,
+        # which on 2 CPUs a child scores.
+        X, y = self.matrix()
+        row = int(np.flatnonzero(kfold_assignment(y, 4, 0) == 3)[0])
+        X[row, 0] = 1e3
+        search = crossval.select_sigma
+
+        def fails_without_the_row(X_train, *args, **kwargs):
+            if not np.any(X_train[:, 0] == 1e3):
+                raise error
+            return search(X_train, *args, **kwargs)
+
+        monkeypatch.setattr(crossval, "select_sigma", fails_without_the_row)
+        with pytest.raises(type(error)) as expected:
+            kfold_cv(X, y, k=4, config=self.AUTO)
+        forked = force_fork(monkeypatch, 2)
+        with pytest.raises(type(error)) as info:
+            kfold_cv(X, y, k=4, config=self.AUTO)
+        assert len(forked) == 1
+        assert_no_child_left()
+        assert type(info.value) is type(expected.value)
+        assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "die, code", [(lambda: os._exit(3), 3), (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)]
+    )
+    def test_child_that_dies_raises_and_is_reaped(self, monkeypatch, die, code):
+        X, y = self.matrix()
+        force_fork(monkeypatch, 2)
+        parent, fit = os.getpid(), crossval.fit_pnn
+
+        def dies_in_a_child(*args, **kwargs):
+            if os.getpid() != parent:
+                die()
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(crossval, "fit_pnn", dies_in_a_child)
+        message = rf"^forked process \d+ exited without sending its result \(exit code {code}\)$"
+        with pytest.raises(RuntimeError, match=message):
+            kfold_cv(X, y, k=4, config=FIXED)
+        assert_no_child_left()
+
+    def test_failing_parent_kills_and_reaps_its_children(self, monkeypatch):
+        X, y = self.matrix()
+        forked = force_fork(monkeypatch, 3)
+        parent, fit = os.getpid(), crossval.fit_pnn
+
+        def fails_in_the_parent(*args, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(crossval, "fit_pnn", fails_in_the_parent)
+        with pytest.raises(KeyboardInterrupt):
+            kfold_cv(X, y, k=6, config=FIXED)
+        assert len(forked) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("sigma", [0.5, None], ids=["fixed", "auto"])
+    def test_warning_shows_as_serial(self, monkeypatch, sigma):
+        # Class 2 has no sample, so every fold's fit warns the same way.
+        X, y = self.matrix()
+        y = np.where(y == 2, 4, y)
+        config = PnnConfig(sigma=sigma, selection_folds=3)
+
+        def shown():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")
+                monte_carlo(X, y, k=5, runs=2, config=config)
+            return [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+        serial = shown()
+        assert [message for _, message, _, _ in serial] == [
+            "classes without exemplars can never be predicted: [2]"
+        ]
+        forked = force_fork(monkeypatch, 3)
+        assert shown() == serial
+        assert len(forked) == 2 * 2
+        assert_no_child_left()
+
+    def test_child_warnings_show_in_fold_order_once_each(self, monkeypatch):
+        # Folds 0-1 train on 27 rows and folds 2-4 on 30; on 3 CPUs the
+        # chunks are fold 0 here, folds 1-2 and folds 3-4 in two children.
+        X, y = self.matrix()
+        fit = crossval.fit_pnn
+
+        def warns_its_size(X_train, *args, **kwargs):
+            warnings.warn(f"fold trains on {len(X_train)} rows", UserWarning)
+            return fit(X_train, *args, **kwargs)
+
+        monkeypatch.setattr(crossval, "fit_pnn", warns_its_size)
+
+        def shown():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")
+                kfold_cv(X, y, k=5, config=FIXED)
+            return [str(w.message) for w in caught]
+
+        assert shown() == ["fold trains on 27 rows", "fold trains on 30 rows"]
+        forked = force_fork(monkeypatch, 3)
+        assert shown() == ["fold trains on 27 rows", "fold trains on 30 rows"]
+        assert len(forked) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("sigma", [0.5, None], ids=["fixed", "auto"])
+    def test_processes_follow_the_distance_cells(self, monkeypatch, sigma):
+        # One process per FORK_CELLS cells: each fold's test x training rows,
+        # and under sigma=None each inner split's once per grid value.
+        X, y = self.matrix()
+        config = PnnConfig(sigma=sigma, selection_folds=3)
+        splits = fold_splits(kfold_assignment(y, 4, 0))
+        cells = sum(test.size * train.size for train, test in splits)
+        if sigma is None:
+            for train, _ in splits:
+                inner = fold_splits(stratified_folds(y[train], 3, 0))
+                cells += len(DEFAULT_SIGMA_GRID) * sum(t.size * r.size for r, t in inner)
+        forked = force_fork(monkeypatch, 8)
+        for fork_cells, processes in [(1 << 24, 1), (cells + 1, 1), (cells, 2), (cells // 2, 3)]:
+            monkeypatch.setattr(crossval, "FORK_CELLS", fork_cells)
+            del forked[:]
+            kfold_cv(X, y, k=4, config=config)
+            assert len(forked) == processes - 1, fork_cells

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from emgactions import selection
+from emgactions import crossval, selection
 from emgactions.crossval import TooFewSamplesError, kfold_assignment, kfold_cv, monte_carlo
 from emgactions.features.registry import BadIndexError, build_registry
 from emgactions.pnn import NonFiniteScoreError, NonPositiveSigmaError, PnnConfig
@@ -20,7 +20,7 @@ from emgactions.selection import (
     sfs,
 )
 
-from ._synth import blobs
+from ._synth import assert_no_child_left, blobs, force_fork
 
 SIGMA = 0.3
 FIXED = PnnConfig(sigma=SIGMA)
@@ -123,7 +123,7 @@ class TestCriterion:
     def test_non_finite_value_named(self):
         X, y = labeled_noise(n_cols=3, seed=1)
         X[4, 2] = np.nan
-        with pytest.raises(ValueError, match=r"training row \d+ column 2 is nan"):
+        with pytest.raises(ValueError, match=r"^X row 4 column 2 is nan; values must be finite$"):
             cv_accuracy_criterion(X, y, k=3, sigma=SIGMA)
 
     def test_overflowing_distances_name_the_matrix_row(self):
@@ -201,32 +201,12 @@ class TestCriterionBlocks:
         assert (info.value.row, info.value.column) == (row, 4)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedSteps:
     """A large step scores contiguous candidate chunks in forked children."""
 
     matrix = staticmethod(TestCriterionBlocks.matrix)
     overflow_in = staticmethod(TestCriterionBlocks.overflow_in)
-
-    @staticmethod
-    def fork_every_step(monkeypatch, cpus):
-        """Force the forked path on cpus CPUs; returns the pids forked."""
-        monkeypatch.setattr(selection, "FORK_CELLS", 1)
-        monkeypatch.setattr(selection, "usable_cpus", lambda: cpus)
-        forked, fork = [], os.fork
-
-        def counted_fork():
-            pid = fork()
-            forked.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        return forked
 
     @pytest.mark.parametrize("cpus", [2, 3, 8])
     def test_scores_equal_serial_bit_for_bit(self, monkeypatch, cpus):
@@ -235,7 +215,7 @@ class TestForkedSteps:
         steps = [((), (1, 2, 3, 4, 5, 6)), ((3,), (6, 1, 5, 2)), ((3, 6, 1), (2, 4, 5))]
         serial = cv_accuracy_criterion(X, y, k=2, sigma=SIGMA, seed=4)
         expected = [serial(selected, candidates) for selected, candidates in steps]
-        forked = self.fork_every_step(monkeypatch, cpus)
+        forked = force_fork(monkeypatch, cpus)
         crit = cv_accuracy_criterion(X, y, k=2, sigma=SIGMA, seed=4)
         for (selected, candidates), scores in zip(steps, expected):
             del forked[:]
@@ -257,7 +237,7 @@ class TestForkedSteps:
         serial = cv_accuracy_criterion(X, y, k=2, sigma=SIGMA, seed=4)
         with pytest.raises(NonFiniteScoreError) as expected:
             serial((1,), candidates)
-        forked = self.fork_every_step(monkeypatch, cpus)
+        forked = force_fork(monkeypatch, cpus)
         crit = cv_accuracy_criterion(X, y, k=2, sigma=SIGMA, seed=4)
         with pytest.raises(NonFiniteScoreError) as info:
             crit((1,), candidates)
@@ -272,7 +252,7 @@ class TestForkedSteps:
     )
     def test_child_that_dies_raises_and_is_reaped(self, monkeypatch, die, code):
         X, y = self.matrix()
-        self.fork_every_step(monkeypatch, 2)
+        force_fork(monkeypatch, 2)
         parent, classify = os.getpid(), selection.classify_distances
 
         def dies_in_a_child(*args):
@@ -282,14 +262,14 @@ class TestForkedSteps:
 
         monkeypatch.setattr(selection, "classify_distances", dies_in_a_child)
         crit = cv_accuracy_criterion(X, y, k=2, sigma=SIGMA, seed=4)
-        message = rf"^criterion process \d+ exited without sending its scores \(exit code {code}\)$"
+        message = rf"^forked process \d+ exited without sending its result \(exit code {code}\)$"
         with pytest.raises(RuntimeError, match=message):
             crit((), (1, 2, 3, 4))
         assert_no_child_left()
 
     def test_failing_parent_kills_and_reaps_its_children(self, monkeypatch):
         X, y = self.matrix()
-        forked = self.fork_every_step(monkeypatch, 3)
+        forked = force_fork(monkeypatch, 3)
         parent, classify = os.getpid(), selection.classify_distances
 
         def fails_in_the_parent(*args):
@@ -306,8 +286,8 @@ class TestForkedSteps:
 
     def test_small_step_stays_serial(self, monkeypatch):
         X, y = self.matrix()
-        forked = self.fork_every_step(monkeypatch, 2)
-        monkeypatch.setattr(selection, "FORK_CELLS", 6 * X.shape[0] ** 2)
+        forked = force_fork(monkeypatch, 2)
+        monkeypatch.setattr(crossval, "FORK_CELLS", 6 * X.shape[0] ** 2)
         crit = cv_accuracy_criterion(X, y, k=2, sigma=SIGMA, seed=4)
         crit((), (1, 2, 3, 4, 5, 6))
         assert forked == []
