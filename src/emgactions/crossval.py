@@ -206,11 +206,11 @@ def kfold_cv(
     require_finite(X, "X")
     splits = fold_splits(kfold_assignment(y, k, seed))
     C = int(y.max())
-    cells = _cells(splits)
+    cells = split_cells(splits)
     if config.sigma is None and config.selection_folds >= 2:
-        inner = config.selection_folds, config.selection_seed
         for train, _ in splits:
-            cells += len(config.sigma_grid) * _cells(fold_splits(stratified_folds(y[train], *inner)))
+            inner = stratified_folds(y[train], config.selection_folds, config.selection_seed)
+            cells += len(config.sigma_grid) * split_cells(fold_splits(inner))
 
     def score(chunk) -> tuple:
         """(confusion matrix, sigma per fold) of a chunk of the splits."""
@@ -247,8 +247,9 @@ def kfold_cv(
     return EvalReport(confusion=cm, alpha=accuracy(cm), kappa=kappa(cm), sigmas=tuple(sigmas))
 
 
-def _cells(splits) -> int:
-    """Distance cells (test rows x training rows) scoring the splits computes."""
+def split_cells(splits) -> int:
+    """Distance cells (test rows x training rows) that scoring the splits
+    once computes."""
     return sum(test.size * train.size for train, test in splits)
 
 

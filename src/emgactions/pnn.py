@@ -232,8 +232,10 @@ def check_sigma(sigma) -> float:
 
 
 def require_finite(X: np.ndarray, what: str) -> None:
-    """Raise ValueError naming the first NaN or infinite cell of the 2-d X as
-    `<what> row <r> column <c>`."""
+    """Raise ValueError naming the first NaN or infinite cell of X as
+    `<what> row <r> column <c>`, or that X is not 2-d."""
+    if X.ndim != 2:
+        raise ValueError(f"{what} must be a 2-d matrix, got shape {X.shape}")
     finite = np.isfinite(X)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]

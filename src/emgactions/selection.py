@@ -17,6 +17,7 @@ from emgactions.crossval import (
     kfold_assignment,
     map_chunks,
     monte_carlo,
+    split_cells,
 )
 from emgactions.crossval import kfold_cv  # noqa: F401 - perfbench/tracing.py patches it here
 from emgactions.features.registry import BadIndexError, FeatureRegistry
@@ -124,7 +125,7 @@ def cv_accuracy_criterion(
     folds = [_Fold(X, y, train, test, C) for train, test in splits]
     sigma = check_sigma(sigma)
     n_train = max(fold.exemplars.size for fold in folds)
-    cells_per_candidate = sum(fold.test.size * fold.exemplars.size for fold in folds)
+    cells_per_candidate = split_cells(splits)
 
     def score(selected, candidates) -> list:
         """Correct count per candidate; raises the error of the first

@@ -219,16 +219,19 @@ class TestFoldSigmas:
         )
 
 
+CALLS = pytest.mark.parametrize(
+    "call",
+    [
+        lambda X, y: kfold_cv(X, y, k=3, config=PnnConfig(sigma=None)),
+        lambda X, y: kfold_cv(X, y, k=3, config=PnnConfig(sigma=0.5)),
+        lambda X, y: select_sigma(X, y),
+    ],
+    ids=["kfold_auto", "kfold_fixed", "select_sigma"],
+)
+
+
 class TestNonFiniteX:
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda X, y: kfold_cv(X, y, k=3, config=PnnConfig(sigma=None)),
-            lambda X, y: kfold_cv(X, y, k=3, config=PnnConfig(sigma=0.5)),
-            lambda X, y: select_sigma(X, y),
-        ],
-        ids=["kfold_auto", "kfold_fixed", "select_sigma"],
-    )
+    @CALLS
     def test_names_the_row_and_column_of_x(self, monkeypatch, call):
         # Each call used to name the row within some fold's rows instead.
         X, y = blobs(n_per_class=10, n_classes=3, dim=3, seed=40)
@@ -237,6 +240,12 @@ class TestNonFiniteX:
         with pytest.raises(ValueError, match=r"^X row 4 column 1 is nan; values must be finite$"):
             call(X, y)
         assert forked == []
+
+    @CALLS
+    def test_rejects_a_matrix_that_is_not_2d(self, call):
+        _, y = blobs(n_per_class=10, n_classes=3, dim=3, seed=40)
+        with pytest.raises(ValueError, match=r"^X must be a 2-d matrix, got shape \(30,\)$"):
+            call(np.ones(30), y)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -436,3 +445,4 @@ class TestForkedFolds:
             del forked[:]
             kfold_cv(X, y, k=4, config=config)
             assert len(forked) == processes - 1, fork_cells
+            assert_no_child_left()
