@@ -144,6 +144,20 @@ def read_lines(path: str) -> list:
         raise not_utf8_error(path) from None
 
 
+def read_key_values(path: str):
+    """Yield (line number, key, value) per ``key = value`` line of a UTF-8
+    file, skipping blank lines and '#' comments; any other line raises a
+    ValueError naming ``path:line``."""
+    for line_no, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{line_no}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield line_no, key, value
+
+
 def not_utf8_error(path: str) -> ValueError:
     """The error naming path and the line of its first byte that is not UTF-8.
 
@@ -290,14 +304,8 @@ def read_manifest(path: str) -> DatasetManifest:
     root = base
     counts = {"trials": 15, "channels": 8}
     entries: list[ManifestEntry] = []
-    for line_no, raw in enumerate(read_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, key, value in read_key_values(path):
         where = f"{path}:{line_no}"
-        if "=" not in line:
-            raise ValueError(f"{where}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
         if key == "root":
             root = value if os.path.isabs(value) else os.path.join(base, value)
         elif key in counts:

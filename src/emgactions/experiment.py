@@ -6,7 +6,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
 
-from emgactions.dataset import read_lines
+from emgactions.dataset import read_key_values
 from emgactions.features.assemble import FeatureConfig
 from emgactions.pnn import PnnConfig
 
@@ -49,15 +49,24 @@ class ExperimentConfig:
 
 
 def _parse_pairs(value: str) -> tuple:
-    pairs = []
+    # A pair repeated in either order would count its column twice in every
+    # distance; a self-pair correlates a channel with itself.
+    pairs, seen = [], {}  # seen: unordered pair -> its text
     for part in value.replace(",", ";").split(";"):
         part = part.strip()
         if not part:
             continue
         bits = part.split("-")
-        if len(bits) != 2:
+        if len(bits) != 2 or not all(b.strip().isdecimal() for b in bits):
             raise ValueError(f"bad channel pair {part!r}, expected 'i-j'")
-        pairs.append((int(bits[0]), int(bits[1])))
+        i, j = int(bits[0]), int(bits[1])
+        if i == j:
+            raise ValueError(f"channel pair {part!r} joins channel {i} to itself")
+        key = frozenset((i, j))
+        if key in seen:
+            raise ValueError(f"channel pair {part!r} repeats {seen[key]!r}")
+        seen[key] = part
+        pairs.append((i, j))
     if not pairs:
         raise ValueError("empty channel pair list")
     return tuple(pairs)
@@ -122,23 +131,26 @@ def read_config(path: str) -> ExperimentConfig:
     ``features``, and sigma, sigma_grid and selection_folds, which set
     ``pnn``. ``window = full`` and ``sigma = auto``
     select the defaults explicitly. Relative manifest/out paths are resolved
-    against the config file's directory.
+    against the config file's directory. Each of ``pairs`` joins two
+    different channels in 1..``channels``, and no pair repeats in either
+    order.
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(f"config not found: {path}")
     base = os.path.dirname(os.path.abspath(path))
     cfg = ExperimentConfig()
-    for line_no, raw in enumerate(read_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for line_no, key, value in read_key_values(path):
         try:
             cfg = _apply_key(cfg, key, value, base)
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from None
+    # channels may follow pairs in the file, so they are checked together.
+    for i, j in cfg.features.pairs:
+        if not (1 <= i <= cfg.channels and 1 <= j <= cfg.channels):
+            raise ValueError(
+                f"{path}: pairs has {i}-{j}, but channels = {cfg.channels}; "
+                f"every pair needs two channels in 1..{cfg.channels}"
+            )
     return cfg
 
 

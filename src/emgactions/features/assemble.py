@@ -10,9 +10,9 @@ from emgactions.dataset import segment_channel
 from emgactions.features.autoregressive import ar_psd, band_powers, burg_ar
 from emgactions.features.crosschannel import DEFAULT_PAIRS, compute_ics
 from emgactions.features.localbinary import LBP_THRESHOLD, LBP_WINDOW, lbp_features
-from emgactions.features.registry import FeatureRegistry, build_registry
-from emgactions.features.spectral import lmf_features, power_spectrum, spectral_moments
-from emgactions.features.timedomain import tds
+from emgactions.features.registry import FeatureDescriptor, FeatureRegistry
+from emgactions.features.spectral import LMF_COUNT, lmf_features, power_spectrum, spectral_moments
+from emgactions.features.timedomain import TDS_NAMES, tds
 
 
 @dataclass(frozen=True)
@@ -38,24 +38,68 @@ class FeatureConfig:
     pairs: tuple = DEFAULT_PAIRS
 
 
+def _families(config: FeatureConfig) -> tuple:
+    """The five feature families in vector order: (modality, extract, suffixes).
+
+    A per-channel family maps (..., L) segments to one value per suffix s,
+    named ``<modality>_ch<c>_<s>`` for channel c, channel-major. ICS, the
+    one pair family (suffixes None), maps (..., M, N) trials to one value
+    per configured pair (i, j), named ``ics_ch<i>_ch<j>``. The default
+    layout for 8 channels and 12 channel pairs:
+
+        1..32    TDS, [mean, variance, skewness, kurtosis] per channel
+        33..44   ICS, one per channel pair in pair-list order
+        45..180  LMF, f1..f17 per channel
+        181..260 SBP, band1..band10 per channel
+        261..276 LBP, [le127, gt127] counts per channel
+
+    Built per call, so the extractors are this module's attributes of the
+    moment: a tracer that replaces them sees every call.
+    """
+    t = config.lbp_threshold
+    return (
+        ("tds", tds, TDS_NAMES),
+        ("ics", lambda c: compute_ics(c, config.pairs, window=config.window), None),
+        (
+            "lmf",
+            lambda s: lmf_features(spectral_moments(power_spectrum(s))),
+            [f"f{q}" for q in range(1, LMF_COUNT + 1)],
+        ),
+        (
+            "sbp",
+            lambda s: band_powers(
+                ar_psd(burg_ar(s, config.ar_order), config.psd_grid), config.n_bands
+            ),
+            [f"band{q}" for q in range(1, config.n_bands + 1)],
+        ),
+        ("lbp", lambda s: lbp_features(s, config.lbp_window, t), (f"le{t}", f"gt{t}")),
+    )
+
+
 def registry_for(config: FeatureConfig, channels: int = 8) -> FeatureRegistry:
     """Registry matching the layout produced by assemble_features."""
-    return build_registry(
-        channels=channels,
-        pairs=config.pairs,
-        n_bands=config.n_bands,
-        lbp_threshold=config.lbp_threshold,
-    )
+    descriptors = []
+    for modality, _, suffixes in _families(config):
+        if suffixes is None:
+            cells = [(None, pair, "ch%d_ch%d" % pair) for pair in config.pairs]
+        else:
+            cells = [(ch, None, f"ch{ch}_{s}") for ch in range(1, channels + 1) for s in suffixes]
+        descriptors += [
+            FeatureDescriptor(len(descriptors) + q, modality, ch, pair, q, f"{modality}_{name}")
+            for q, (ch, pair, name) in enumerate(cells, start=1)
+        ]
+    return FeatureRegistry(descriptors)
 
 
 def assemble_features(trials, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
     """Compute the feature vectors of a block of trials.
 
-    Blocks are concatenated as [TDS | ICS | LMF | SBP | LBP], channel-major
-    within each single-channel block. When the window splits a trial into
-    several segments, per-segment features are averaged per channel so the
-    vector length is independent of the segment count. With 8 channels and
-    the default configuration the vector has 32+12+136+80+16 = 276 entries.
+    Blocks are concatenated in the order of the family table (_families),
+    [TDS | ICS | LMF | SBP | LBP], channel-major within each single-channel
+    block. When the window splits a trial into several segments,
+    per-segment features are averaged per channel so the vector length is
+    independent of the segment count. With 8 channels and the default
+    configuration the vector has 32+12+136+80+16 = 276 entries.
 
     Args:
         trials: float array of shape (P, M, N): P trials of M channels with
@@ -75,28 +119,13 @@ def assemble_features(trials, config: FeatureConfig = FeatureConfig()) -> np.nda
     x = np.asarray(trials, dtype=float)
     block = x.reshape(-1, *x.shape[-2:])
     segs = segment_channel(block, config.window if config.window is not None else x.shape[-1])
-
-    def per_channel(modality, extract):
-        values = _located(modality, extract, segs, row_axes=2)
-        return values.mean(axis=2).reshape(len(block), -1)
-
-    blocks = [
-        per_channel("tds", tds),
-        _located(
-            "ics",
-            lambda c: compute_ics(c, config.pairs, window=config.window),
-            block,
-            row_axes=1,
-        ),
-        per_channel("lmf", lambda s: lmf_features(spectral_moments(power_spectrum(s)))),
-        per_channel(
-            "sbp",
-            lambda s: band_powers(
-                ar_psd(burg_ar(s, config.ar_order), config.psd_grid), config.n_bands
-            ),
-        ),
-        per_channel("lbp", lambda s: lbp_features(s, config.lbp_window, config.lbp_threshold)),
-    ]
+    blocks = []
+    for modality, extract, suffixes in _families(config):
+        if suffixes is None:
+            blocks.append(_located(modality, extract, block, row_axes=1))
+        else:
+            values = _located(modality, extract, segs, row_axes=2)
+            blocks.append(values.mean(axis=2).reshape(len(block), -1))
     return np.concatenate(blocks, axis=1).reshape(*x.shape[:-2], -1)
 
 

@@ -13,9 +13,9 @@ from emgactions import cli
 from emgactions.cli import main
 from emgactions.crossval import monte_carlo
 from emgactions.experiment import read_config
+from emgactions.features.assemble import FeatureConfig, registry_for
 from emgactions.features.autoregressive import PoleOnGridError
 from emgactions.features.export import read_feature_csv
-from emgactions.features.registry import build_registry
 from emgactions.selection import reference_selection
 
 from ._synth import blobs
@@ -97,7 +97,7 @@ class TestExtract:
         assert y.tolist() == [1, 1, 1, 2, 2, 2, 1, 1, 1, 2, 2, 2]
         assert subjects.tolist() == [1] * 6 + [2] * 6
         assert trials.tolist() == [1, 2, 3] * 4
-        assert list(names) == list(build_registry().names())
+        assert list(names) == list(registry_for(FeatureConfig()).names())
         assert np.all(np.isfinite(X))
 
     def test_registry_csv(self, workspace):
@@ -160,6 +160,21 @@ class TestExtract:
             "channels = 8; set both to the recordings' channel count\n"
         )
         assert not (tmp_path / "out").exists()
+
+    def test_pairs_outside_channels_fail_before_reading(self, tmp_path, capsys):
+        # Rejected before any file is read: the entry's file does not exist.
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("trials = 3\nchannels = 4\nentry = absent.txt 1 1\n")
+        config = tmp_path / "run.cfg"
+        config.write_text("channels = 4\n")
+        out = tmp_path / "out"
+        argv = ["extract", "--config", str(config), "--manifest", str(manifest), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: pairs has 7-8, but channels = 4; "
+            "every pair needs two channels in 1..4\n"
+        )
+        assert not out.exists()
 
     def test_four_channel_manifest_and_config(self, tmp_path):
         for action, name in ACTIONS.items():
@@ -235,7 +250,7 @@ class TestSelect:
         assert rows[0] == ["step", "index", "name", "criterion"]
         body = rows[1:]
         assert 1 <= len(body) <= 2
-        names = build_registry().names()
+        names = registry_for(FeatureConfig()).names()
         scores = []
         for step, row in enumerate(body, start=1):
             assert int(row[0]) == step
@@ -340,7 +355,7 @@ class TestEval:
         out = tmp_path / "eval"
         assert self.run_eval(workspace, out, ("--selected", "reference")) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["selected"] == list(reference_selection(build_registry()))
+        assert report["selected"] == list(reference_selection(registry_for(FeatureConfig())))
         assert report["alpha"] == 1.0
 
     def test_selected_csv_file(self, workspace, tmp_path):
@@ -773,6 +788,10 @@ class TestConfig:
             ("sfs_sigma = -0.3", "sfs_sigma must be a finite number > 0, got '-0.3'"),
             ("sigma_grid = 0.1, inf", "sigma_grid entry must be a finite number > 0, got 'inf'"),
             ("sigma_grid = 0.1; 0", "sigma_grid entry must be a finite number > 0, got '0'"),
+            ("pairs = 3-4; 4-3", "channel pair '4-3' repeats '3-4'"),
+            ("pairs = 3-4, 1-2, 3-4", "channel pair '3-4' repeats '3-4'"),
+            ("pairs = 1-2; 2-2", "channel pair '2-2' joins channel 2 to itself"),
+            ("pairs = 1-2; 1-x", "bad channel pair '1-x', expected 'i-j'"),
         ],
     )
     def test_bad_value_names_line(self, tmp_path, line, message):
@@ -801,6 +820,23 @@ class TestConfig:
         assert rc == 2
         assert f"error: {cfg}:1: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, pair",
+        [("channels = 4\n", "7-8"), ("channels = 4\npairs = 1-2; 0-3\n", "0-3"),
+         ("pairs = 1-2; 1-5\nchannels = 4\n", "1-5")],
+    )
+    def test_pairs_outside_channels_name_config(self, tmp_path, text, pair):
+        # channels may come after pairs: the check waits for every key.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_config(str(cfg))
+        assert str(exc.value) == (
+            f"{cfg}: pairs has {pair}, but channels = 4; every pair needs two channels in 1..4"
+        )
+        cfg.write_text("pairs = 1-2; 4-3\nchannels = 4\n")
+        assert read_config(str(cfg)).features.pairs == ((1, 2), (4, 3))
 
     def test_window_and_sigma_words(self, tmp_path):
         from emgactions.experiment import read_config

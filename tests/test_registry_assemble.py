@@ -3,17 +3,19 @@ import weakref
 import numpy as np
 import pytest
 
-from emgactions.dataset import Recording
+from emgactions.dataset import Recording, segment_channel
 from emgactions.features.assemble import (
     FeatureConfig,
     assemble_features,
     extract_feature_matrix,
     registry_for,
 )
-from emgactions.features.autoregressive import PoleOnGridError
-from emgactions.features.crosschannel import DEFAULT_PAIRS
-from emgactions.features.localbinary import WindowTooLongError
-from emgactions.features.registry import BadIndexError, build_registry
+from emgactions.features.autoregressive import PoleOnGridError, ar_psd, band_powers, burg_ar
+from emgactions.features.crosschannel import DEFAULT_PAIRS, compute_ics
+from emgactions.features.localbinary import WindowTooLongError, lbp_features
+from emgactions.features.registry import BadIndexError
+from emgactions.features.spectral import lmf_features, power_spectrum, spectral_moments
+from emgactions.features.timedomain import tds
 
 
 def make_trial(seed=0, channels=8, samples=64):
@@ -22,11 +24,11 @@ def make_trial(seed=0, channels=8, samples=64):
 
 class TestRegistry:
     def test_total_size(self):
-        reg = build_registry()
+        reg = registry_for(FeatureConfig())
         assert len(reg) == 276
 
     def test_block_sizes(self):
-        reg = build_registry()
+        reg = registry_for(FeatureConfig())
         assert len(reg.modality_indices("tds")) == 32
         assert len(reg.modality_indices("ics")) == 12
         assert len(reg.modality_indices("lmf")) == 136
@@ -34,7 +36,7 @@ class TestRegistry:
         assert len(reg.modality_indices("lbp")) == 16
 
     def test_anchor_names(self):
-        reg = build_registry()
+        reg = registry_for(FeatureConfig())
         assert reg[1].name == "tds_ch1_mean"
         assert reg[7].name == "tds_ch2_skewness"
         assert reg[17].name == "tds_ch5_mean"
@@ -53,21 +55,21 @@ class TestRegistry:
         assert reg[276].name == "lbp_ch8_gt127"
 
     def test_names_are_unique_and_ordered(self):
-        reg = build_registry()
+        reg = registry_for(FeatureConfig())
         names = reg.names()
         assert len(names) == 276
         assert len(set(names)) == 276
         assert [reg[i].name for i in range(1, 277)] == list(names)
 
     def test_indices_partition(self):
-        reg = build_registry()
+        reg = registry_for(FeatureConfig())
         merged = []
         for mod in ("tds", "ics", "lmf", "sbp", "lbp"):
             merged.extend(reg.modality_indices(mod))
         assert merged == list(range(1, 277))
 
     def test_ics_pairs_recorded(self):
-        reg = build_registry()
+        reg = registry_for(FeatureConfig())
         assert reg[33].pair == (3, 4)
         assert reg[38].pair == (1, 2)
         assert reg[43].pair == (4, 7)
@@ -75,7 +77,7 @@ class TestRegistry:
         assert pairs == list(DEFAULT_PAIRS)
 
     def test_channel_indices_include_pair_endpoints(self):
-        reg = build_registry()
+        reg = registry_for(FeatureConfig())
         ch1 = [d.index for d in reg if d.touches_channel(1)]
         assert set(ch1) & set(reg.modality_indices("ics")) == {36, 37, 38}
         assert len(ch1) == 4 + 3 + 17 + 10 + 2
@@ -84,7 +86,7 @@ class TestRegistry:
         assert len(ch4) == 4 + 4 + 17 + 10 + 2
 
     def test_touches_channel(self):
-        reg = build_registry()
+        reg = registry_for(FeatureConfig())
         assert reg[33].touches_channel(3)
         assert reg[33].touches_channel(4)
         assert not reg[33].touches_channel(5)
@@ -92,17 +94,60 @@ class TestRegistry:
         assert not reg[1].touches_channel(2)
 
     def test_bad_index(self):
-        reg = build_registry()
+        reg = registry_for(FeatureConfig())
         for bad in (0, -1, 277, 1000):
             with pytest.raises(BadIndexError):
                 reg[bad]
 
-    def test_registry_follows_config(self):
-        cfg = FeatureConfig(n_bands=5, lbp_threshold=100)
-        reg = registry_for(cfg, channels=8)
-        assert len(reg) == 32 + 12 + 136 + 40 + 16
-        assert reg[len(reg)].name == "lbp_ch8_gt100"
-        assert reg[len(reg) - 1].name == "lbp_ch8_le100"
+    @pytest.mark.parametrize(
+        "channels, cfg",
+        [
+            pytest.param(4, FeatureConfig(pairs=((3, 4), (1, 2), (2, 4))), id="4ch-3pairs"),
+            pytest.param(8, FeatureConfig(n_bands=5, lbp_threshold=100), id="bands5-lbp100"),
+            pytest.param(8, FeatureConfig(window=64), id="window64"),
+            pytest.param(
+                4,
+                FeatureConfig(
+                    window=64, n_bands=5, lbp_threshold=100, pairs=((3, 4), (2, 4), (1, 2))
+                ),
+                id="all",
+            ),
+        ],
+    )
+    def test_registry_follows_config(self, channels, cfg):
+        # Each family computed straight from its extractor must sit where the
+        # registry puts it: same width, same position, same channel or pair.
+        trial = make_trial(seed=2, channels=channels, samples=128)
+        segs = segment_channel(trial, cfg.window or trial.shape[-1])  # (M, W, L)
+
+        def per_channel(values):
+            return values.mean(axis=1).ravel()
+
+        expected = {
+            "tds": per_channel(tds(segs)),
+            "ics": compute_ics(trial, cfg.pairs, window=cfg.window),
+            "lmf": per_channel(lmf_features(spectral_moments(power_spectrum(segs)))),
+            "sbp": per_channel(
+                band_powers(ar_psd(burg_ar(segs, cfg.ar_order), cfg.psd_grid), cfg.n_bands)
+            ),
+            "lbp": per_channel(lbp_features(segs, cfg.lbp_window, cfg.lbp_threshold)),
+        }
+        reg = registry_for(cfg, channels=channels)
+        vec = assemble_features(trial, cfg)
+        assert vec.shape == (len(reg),)
+        start = 1
+        for mod, values in expected.items():
+            indices = reg.modality_indices(mod)
+            assert indices == tuple(range(start, start + len(values)))
+            assert np.allclose(vec[np.array(indices) - 1], values, rtol=1e-12, atol=0)
+            start += len(values)
+        assert start == len(reg) + 1
+        assert [reg[i].pair for i in reg.modality_indices("ics")] == list(cfg.pairs)
+        lbp = reg.modality_indices("lbp")
+        assert [reg[i].channel for i in lbp] == [c for c in range(1, channels + 1) for _ in (0, 1)]
+        assert reg[lbp[-1]].name == f"lbp_ch{channels}_gt{cfg.lbp_threshold}"
+        assert reg[lbp[-2]].name == f"lbp_ch{channels}_le{cfg.lbp_threshold}"
+        assert reg[reg.modality_indices("sbp")[-1]].name == f"sbp_ch{channels}_band{cfg.n_bands}"
 
 
 class TestAssemble:
@@ -127,10 +172,6 @@ class TestAssemble:
         assert np.array_equal(tds_vals, np.zeros(32))
 
     def test_block_placement_against_direct_extractors(self):
-        from emgactions.features.crosschannel import compute_ics
-        from emgactions.features.localbinary import lbp_features
-        from emgactions.features.timedomain import tds
-
         cfg = FeatureConfig()
         trial = make_trial(seed=3)
         vec = assemble_features(trial, cfg)

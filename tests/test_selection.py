@@ -7,7 +7,8 @@ import pytest
 
 from emgactions import crossval, selection
 from emgactions.crossval import TooFewSamplesError, kfold_assignment, kfold_cv, monte_carlo
-from emgactions.features.registry import BadIndexError, build_registry
+from emgactions.features.assemble import FeatureConfig, registry_for
+from emgactions.features.registry import BadIndexError
 from emgactions.pnn import NonFiniteScoreError, NonPositiveSigmaError, PnnConfig
 from emgactions.selection import (
     ChannelUnusedWarning,
@@ -388,7 +389,7 @@ class TestSfs:
 class TestChannelRelevance:
     # global indices: 1 = tds_ch1_mean, 33 = ics over channels (3,4), 45 = lmf_ch1_f1
     def test_informative_channel_collapses(self):
-        reg = build_registry()
+        reg = registry_for(FeatureConfig())
         X, y = labeled_noise(n_cols=45, informative=(0,), seed=6)
         with pytest.warns(ChannelUnusedWarning):
             results = channel_relevance(
@@ -402,7 +403,7 @@ class TestChannelRelevance:
         assert results[3].mean_kappa > 0.7
 
     def test_untouched_channel_warns_and_matches_full_run(self):
-        reg = build_registry()
+        reg = registry_for(FeatureConfig())
         X, y = labeled_noise(n_cols=45, informative=(0, 32), seed=7)
         with pytest.warns(ChannelUnusedWarning) as rec:
             results = channel_relevance(
@@ -414,7 +415,7 @@ class TestChannelRelevance:
         assert np.array_equal(results[1].confusion, full.confusion)
 
     def test_empty_remainder_scores_constant_predictor(self):
-        reg = build_registry()
+        reg = registry_for(FeatureConfig())
         X, y = labeled_noise(n_cols=45, informative=(0,), seed=8)
         with pytest.warns(UserWarning) as rec:
             results = channel_relevance(
@@ -427,20 +428,20 @@ class TestChannelRelevance:
         assert np.array_equal(ch1.confusion, 3 * np.array([[20, 0], [20, 0]]))
 
     def test_empty_selection_rejected(self):
-        reg = build_registry()
+        reg = registry_for(FeatureConfig())
         X, y = labeled_noise(seed=9)
         with pytest.raises(NoFeaturesError):
             channel_relevance(X, y, (), reg)
 
     def test_unknown_index_rejected(self):
-        reg = build_registry()
+        reg = registry_for(FeatureConfig())
         X, y = labeled_noise(seed=10)
         with pytest.raises(BadIndexError):
             channel_relevance(X, y, (1, 300), reg)
 
     def test_repeated_index_rejected(self):
         # Counted twice, index 5's column would weigh double in every distance.
-        reg = build_registry()
+        reg = registry_for(FeatureConfig())
         X, y = labeled_noise(n_cols=45, seed=10)
         with pytest.warns(ChannelUnusedWarning), pytest.raises(ValueError, match="index 5 "):
             channel_relevance(X, y, (5, 5, 9), reg, k=5, runs=1, config=FIXED)
@@ -484,7 +485,7 @@ class TestAblation:
 
 class TestReferenceSelection:
     def test_size_and_composition(self):
-        reg = build_registry()
+        reg = registry_for(FeatureConfig())
         sel = reference_selection(reg)
         assert len(sel) == 36
         assert len(set(sel)) == 36
@@ -498,12 +499,12 @@ class TestReferenceSelection:
         assert mods.count("lbp") == 2
 
     def test_known_members(self):
-        sel = reference_selection(build_registry())
+        sel = reference_selection(registry_for(FeatureConfig()))
         for idx in (1, 29, 35, 38, 44, 48, 191, 265, 269):
             assert idx in sel
 
     def test_ablation_groups_partition(self):
-        reg = build_registry()
+        reg = registry_for(FeatureConfig())
         sel = reference_selection(reg)
         groups = ablation_groups(sel, reg)
         assert list(groups) == ["baseline", "ics", "lmf"]
