@@ -140,7 +140,7 @@ def _subset_inputs(args, check_registry: bool = True) -> tuple:
     file's feature columns be the configured registry's."""
     cfg = _load_config(args)
     X, y, _, _, names = read_feature_csv(args.features)
-    registry = registry_for(cfg.features, channels=cfg.channels)
+    registry = registry_for(cfg.features)
     if check_registry and list(names) != registry.names():
         raise ValueError(
             f"{args.features}: feature columns do not match the configured registry; "
@@ -170,22 +170,23 @@ def cmd_extract(args) -> int:
     manifest_path = args.manifest or cfg.manifest
     if not manifest_path:
         raise ValueError("extract needs a manifest (--manifest or config key)")
+    channels = cfg.features.channels
     if os.path.isdir(manifest_path):
-        manifest = scan_action_tree(manifest_path, channels=cfg.channels)
+        manifest = scan_action_tree(manifest_path, channels=channels)
         if not manifest.entries:
             raise ValueError(f"no recording found: {manifest_path} holds no action-named .txt file")
     else:
         manifest = read_manifest(manifest_path)
         if not manifest.entries:
             raise ValueError(f"no recording found: manifest {manifest_path} has no 'entry' line")
-        if manifest.channels != cfg.channels:
+        if manifest.channels != channels:
             raise ValueError(
                 f"{manifest_path}: the manifest has channels = {manifest.channels} but the "
-                f"config has channels = {cfg.channels}; set both to the recordings' channel count"
+                f"config has channels = {channels}; set both to the recordings' channel count"
             )
     recordings = load_dataset(manifest)
     X, y, subjects, trials = extract_feature_matrix(recordings, cfg.features)
-    registry = registry_for(cfg.features, channels=cfg.channels)
+    registry = registry_for(cfg.features)
     os.makedirs(cfg.out, exist_ok=True)
     features_path = os.path.join(cfg.out, "features.csv")
     registry_path = os.path.join(cfg.out, "registry.csv")
@@ -268,9 +269,7 @@ def cmd_eval(args) -> int:
 def cmd_relevance(args) -> int:
     cfg, X, y, names, registry, selected = _subset_inputs(args)
     with _scores_named(args.features, names):
-        results = channel_relevance(
-            X, y, selected, registry, channels=cfg.channels, **_cv_args(cfg)
-        )
+        results = channel_relevance(X, y, selected, registry, **_cv_args(cfg))
     rows = [[ch, repr(res.mean_alpha), repr(res.mean_kappa)] for ch, res in enumerate(results, 1)]
     print(f"wrote {_write_table(cfg, 'relevance.csv', ['channel', 'alpha', 'kappa'], rows)}")
     return 0

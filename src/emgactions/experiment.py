@@ -22,7 +22,6 @@ class ExperimentConfig:
     """
 
     manifest: str | None = None
-    channels: int = 8
     features: FeatureConfig = FeatureConfig()
     pnn: PnnConfig = PnnConfig()
     cv_folds: int = 10
@@ -145,11 +144,12 @@ def read_config(path: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from None
     # channels may follow pairs in the file, so they are checked together.
+    channels = cfg.features.channels
     for i, j in cfg.features.pairs:
-        if not (1 <= i <= cfg.channels and 1 <= j <= cfg.channels):
+        if not (1 <= i <= channels and 1 <= j <= channels):
             raise ValueError(
-                f"{path}: pairs has {i}-{j}, but channels = {cfg.channels}; "
-                f"every pair needs two channels in 1..{cfg.channels}"
+                f"{path}: pairs has {i}-{j}, but channels = {channels}; "
+                f"every pair needs two channels in 1..{channels}"
             )
     return cfg
 

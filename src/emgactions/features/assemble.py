@@ -17,9 +17,10 @@ from emgactions.features.timedomain import TDS_NAMES, tds
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Extraction parameters.
+    """Extraction parameters and the feature layout they name.
 
     Attributes:
+        channels: recording channel count M; every pair lies in 1..M.
         window: segment length L; None means one segment spanning the trial.
         ar_order: autoregressive model order.
         psd_grid: AR spectrum grid size K (a multiple of n_bands).
@@ -29,6 +30,7 @@ class FeatureConfig:
         pairs: ICS channel pairs (1-based).
     """
 
+    channels: int = 8
     window: int | None = None
     ar_order: int = 4
     psd_grid: int = 100
@@ -76,14 +78,15 @@ def _families(config: FeatureConfig) -> tuple:
     )
 
 
-def registry_for(config: FeatureConfig, channels: int = 8) -> FeatureRegistry:
-    """Registry matching the layout produced by assemble_features."""
+def registry_for(config: FeatureConfig) -> FeatureRegistry:
+    """Registry of the layout assemble_features writes for config.channels."""
     descriptors = []
     for modality, _, suffixes in _families(config):
         if suffixes is None:
             cells = [(None, pair, "ch%d_ch%d" % pair) for pair in config.pairs]
         else:
-            cells = [(ch, None, f"ch{ch}_{s}") for ch in range(1, channels + 1) for s in suffixes]
+            channels = range(1, config.channels + 1)
+            cells = [(ch, None, f"ch{ch}_{s}") for ch in channels for s in suffixes]
         descriptors += [
             FeatureDescriptor(len(descriptors) + q, modality, ch, pair, q, f"{modality}_{name}")
             for q, (ch, pair, name) in enumerate(cells, start=1)

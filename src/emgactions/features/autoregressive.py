@@ -34,10 +34,6 @@ class ArModel:
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float)
 
-    @property
-    def order(self) -> int:
-        return self.coefficients.shape[-1] - 1
-
 
 def burg_ar(segment, order: int) -> ArModel:
     """Fit AR coefficients by Burg's lattice recursion along the last axis.

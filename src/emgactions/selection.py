@@ -293,7 +293,6 @@ def channel_relevance(
     y,
     selected,
     registry: FeatureRegistry,
-    channels: int = 8,
     k: int = 10,
     runs: int = 10,
     base_seed: int = 0,
@@ -303,7 +302,8 @@ def channel_relevance(
 
     For channel m, every selected feature whose descriptor involves m (pair
     features count on either endpoint) is dropped and monte_carlo reruns on
-    the remainder. Returns one result per channel 1..channels.
+    the remainder. Returns one result per channel 1..M, where M is the
+    highest channel a registry descriptor names, on its own or in a pair.
 
     Warns:
         ChannelUnusedWarning: omitting a channel drops nothing, so its
@@ -313,6 +313,7 @@ def channel_relevance(
     scored by a constant-prediction fallback (kappa 0) and a warning.
 
     Raises:
+        BadIndexError: an index lies outside the registry, before any warning.
         ValueError: an index repeats; the first channel whose remainder
             keeps it raises.
         NonFiniteScoreError: a row has no finite class score; it names the
@@ -322,8 +323,7 @@ def channel_relevance(
         raise NoFeaturesError("selected feature set is empty")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    for idx in selected:
-        registry[int(idx)]
+    channels = max(max(d.pair or (d.channel,)) for d in registry)
     results = []
     for ch in range(1, channels + 1):
         kept = tuple(int(i) for i in selected if not registry[int(i)].touches_channel(ch))
@@ -395,12 +395,9 @@ def reference_selection(registry: FeatureRegistry) -> tuple:
     36 features over all five modalities; intended for the default
     276-feature registry.
     """
-    by_modality = {
-        mod: registry.modality_indices(mod) for mod in _SELECTED_LOCAL
-    }
     out = []
     for mod, locals_ in _SELECTED_LOCAL.items():
-        block = by_modality[mod]
+        block = registry.modality_indices(mod)
         for q in locals_:
             if not 1 <= q <= len(block):
                 raise BadIndexError(f"{mod} local index {q} outside 1..{len(block)}")

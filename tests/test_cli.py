@@ -838,6 +838,39 @@ class TestConfig:
         cfg.write_text("pairs = 1-2; 4-3\nchannels = 4\n")
         assert read_config(str(cfg)).features.pairs == ((1, 2), (4, 3))
 
+    def test_missing_config_exits_2(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "absent.cfg"
+        argv = ["eval", "--config", str(cfg), "--features", str(workspace["features"])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: config not found: {cfg}\n"
+
+    def test_paths_resolve_against_config_directory(self, tmp_path):
+        cfg = tmp_path / "conf" / "run.cfg"
+        cfg.parent.mkdir()
+        absolute = tmp_path / "elsewhere"
+        cfg.write_text(f"manifest = data/manifest.txt\nout = {absolute}\n")
+        parsed = read_config(str(cfg))
+        assert parsed.manifest == str(cfg.parent / "data" / "manifest.txt")
+        assert parsed.out == str(absolute)
+        cfg.write_text(f"manifest = {absolute}\nout = run\n")
+        parsed = read_config(str(cfg))
+        assert parsed.manifest == str(absolute)
+        assert parsed.out == str(cfg.parent / "run")
+
+    def test_features_from_another_layout_exit_2(self, workspace, tmp_path, capsys):
+        # The workspace's features.csv holds the default 8-channel layout.
+        cfg = tmp_path / "four.cfg"
+        cfg.write_text("channels = 4\npairs = 1-2\n")
+        features = workspace["features"]
+        out = tmp_path / "out"
+        argv = ["relevance", "--config", str(cfg), "--features", str(features), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {features}: feature columns do not match the configured registry; "
+            "re-extract with the same config or adjust it\n"
+        )
+        assert not out.exists()
+
     def test_window_and_sigma_words(self, tmp_path):
         from emgactions.experiment import read_config
 
@@ -855,18 +888,18 @@ class TestConfig:
 
         cfg = tmp_path / "features.cfg"
         cfg.write_text(
-            "window = 64\nar_order = 3\npsd_grid = 60\nn_bands = 6\n"
+            "channels = 9\nwindow = 64\nar_order = 3\npsd_grid = 60\nn_bands = 6\n"
             "lbp_window = 5\nlbp_threshold = 20\npairs = 1-2; 5-8\nruns = 4\n"
         )
         parsed = read_config(str(cfg))
         features = FeatureConfig(
-            window=64, ar_order=3, psd_grid=60, n_bands=6,
+            channels=9, window=64, ar_order=3, psd_grid=60, n_bands=6,
             lbp_window=5, lbp_threshold=20, pairs=((1, 2), (5, 8)),
         )
         assert parsed == ExperimentConfig(features=features, runs=4)
         flat = ExperimentConfig().to_dict()
         flat.update(
-            window=64, ar_order=3, psd_grid=60, n_bands=6,
+            channels=9, window=64, ar_order=3, psd_grid=60, n_bands=6,
             lbp_window=5, lbp_threshold=20, pairs=["1-2", "5-8"], runs=4,
         )
         assert parsed.to_dict() == flat

@@ -100,23 +100,29 @@ class TestRegistry:
                 reg[bad]
 
     @pytest.mark.parametrize(
-        "channels, cfg",
+        "cfg",
         [
-            pytest.param(4, FeatureConfig(pairs=((3, 4), (1, 2), (2, 4))), id="4ch-3pairs"),
-            pytest.param(8, FeatureConfig(n_bands=5, lbp_threshold=100), id="bands5-lbp100"),
-            pytest.param(8, FeatureConfig(window=64), id="window64"),
             pytest.param(
-                4,
+                FeatureConfig(channels=4, pairs=((3, 4), (1, 2), (2, 4))), id="4ch-3pairs"
+            ),
+            pytest.param(FeatureConfig(n_bands=5, lbp_threshold=100), id="bands5-lbp100"),
+            pytest.param(FeatureConfig(window=64), id="window64"),
+            pytest.param(
                 FeatureConfig(
-                    window=64, n_bands=5, lbp_threshold=100, pairs=((3, 4), (2, 4), (1, 2))
+                    channels=4,
+                    window=64,
+                    n_bands=5,
+                    lbp_threshold=100,
+                    pairs=((3, 4), (2, 4), (1, 2)),
                 ),
                 id="all",
             ),
         ],
     )
-    def test_registry_follows_config(self, channels, cfg):
+    def test_registry_follows_config(self, cfg):
         # Each family computed straight from its extractor must sit where the
         # registry puts it: same width, same position, same channel or pair.
+        channels = cfg.channels
         trial = make_trial(seed=2, channels=channels, samples=128)
         segs = segment_channel(trial, cfg.window or trial.shape[-1])  # (M, W, L)
 
@@ -132,7 +138,7 @@ class TestRegistry:
             ),
             "lbp": per_channel(lbp_features(segs, cfg.lbp_window, cfg.lbp_threshold)),
         }
-        reg = registry_for(cfg, channels=channels)
+        reg = registry_for(cfg)
         vec = assemble_features(trial, cfg)
         assert vec.shape == (len(reg),)
         start = 1

@@ -1,6 +1,7 @@
 import os
 import signal
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,12 @@ def labeled_noise(n_per=20, n_cols=45, informative=(0,), seed=0):
 
 
 class TestCriterion:
+    def test_no_candidates_rejected(self):
+        X, y = labeled_noise(n_cols=3, seed=1)
+        crit = cv_accuracy_criterion(X, y, k=3, sigma=SIGMA, seed=0)
+        with pytest.raises(NoFeaturesError, match="^no candidate feature to score$"):
+            crit((1,), ())
+
     def test_informative_column_scores_higher(self):
         X, y = labeled_noise(n_cols=3, informative=(1,), seed=1)
         crit = cv_accuracy_criterion(X, y, k=3, sigma=SIGMA, seed=0)
@@ -427,6 +434,28 @@ class TestChannelRelevance:
         assert np.array_equal(ch1.kappas, np.zeros(3))
         assert np.array_equal(ch1.confusion, 3 * np.array([[20, 0], [20, 0]]))
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param(FeatureConfig(channels=4, pairs=((1, 2), (3, 4))), id="4ch"),
+            pytest.param(FeatureConfig(channels=12, pairs=((11, 12), (1, 5))), id="12ch"),
+        ],
+    )
+    def test_one_result_per_registry_channel(self, cfg):
+        # Global index q * 4 + 1 is tds_ch<q+1>_mean: one feature per channel.
+        reg = registry_for(cfg)
+        m = cfg.channels
+        X, y = labeled_noise(n_cols=4 * m, informative=(0,), seed=12)
+        selected = tuple(4 * q + 1 for q in range(m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ChannelUnusedWarning)
+            results = channel_relevance(X, y, selected, reg, k=5, runs=1, config=FIXED)
+        assert len(results) == m
+        # Only channel 1's feature is informative; omitting it hurts most.
+        kappas = [r.mean_kappa for r in results]
+        assert kappas[0] < 0.3
+        assert kappas[0] < min(kappas[1:])
+
     def test_empty_selection_rejected(self):
         reg = registry_for(FeatureConfig())
         X, y = labeled_noise(seed=9)
@@ -434,10 +463,13 @@ class TestChannelRelevance:
             channel_relevance(X, y, (), reg)
 
     def test_unknown_index_rejected(self):
+        # The first channel's lookups raise, before any warning or scoring.
         reg = registry_for(FeatureConfig())
         X, y = labeled_noise(seed=10)
-        with pytest.raises(BadIndexError):
-            channel_relevance(X, y, (1, 300), reg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadIndexError, match="^feature index 300 outside 1..276$"):
+                channel_relevance(X, y, (9, 300), reg)
 
     def test_repeated_index_rejected(self):
         # Counted twice, index 5's column would weigh double in every distance.
