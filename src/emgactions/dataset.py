@@ -49,16 +49,21 @@ ACTION_LABELS = {
 
 
 class MalformedLineError(ValueError):
-    """A data line has the wrong field count or a non-numeric/non-finite field."""
+    """A data line has the wrong field count or a non-numeric/non-finite field.
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    path, when given, names the file and starts the message.
+    """
+
+    def __init__(self, line_no: int, message: str, path: str | None = None):
+        where = f"line {line_no}: {message}"
+        super().__init__(where if path is None else f"{path}: {where}")
         self.line_no = line_no
         self.message = message
+        self.path = path
 
     def __reduce__(self):
         # The default would call __init__ with the formatted message alone.
-        return type(self), (self.line_no, self.message)
+        return type(self), (self.line_no, self.message, self.path)
 
 
 class EmptyRecordingError(ValueError):
@@ -329,6 +334,8 @@ def load_dataset(manifest: DatasetManifest) -> Iterator[Recording]:
     fails at once. The files are parsed one at a time as the returned
     iterator is consumed, so only the recording being used is in memory.
     Wrap the result in ``list()`` to iterate over it more than once.
+    ``emgactions extract`` calls it once on the whole manifest, for the
+    path check, then once per process on a contiguous run of its entries.
 
     Returns:
         An iterator of one Recording per entry, in manifest order, each
@@ -337,7 +344,9 @@ def load_dataset(manifest: DatasetManifest) -> Iterator[Recording]:
     Raises:
         MissingFileError: an entry path does not exist; raised by the call.
         MalformedLineError, EmptyRecordingError, TooShortError: raised
-            during iteration, with the file path prepended to the message.
+            during iteration, with the file path prepended to the message;
+            the message survives a pickle, so an error sent from a forked
+            process reads as it reads here.
         ValueError: raised during iteration for a file that is not UTF-8,
             naming its path and line.
     """
@@ -358,7 +367,9 @@ def _read_trials(full: str, manifest: DatasetManifest) -> np.ndarray:
     try:
         samples = parse_recording(read_lines(full), manifest.channels)
         return split_trials(samples, manifest.trials_per_file)
-    except (MalformedLineError, EmptyRecordingError, TooShortError) as exc:
+    except MalformedLineError as exc:
+        raise MalformedLineError(exc.line_no, exc.message, full) from None
+    except (EmptyRecordingError, TooShortError) as exc:
         exc.args = (f"{full}: {exc}",)
         raise
 

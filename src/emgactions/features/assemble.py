@@ -115,11 +115,16 @@ def assemble_features(trials, config: FeatureConfig = FeatureConfig()) -> np.nda
         A (P, D) matrix, or the (D,) row of one (M, N) trial.
 
     Raises:
+        ValueError: the trials' channel count is not config.channels, so
+            the vector would not fit registry_for(config).
         Extractor errors, annotated with the 1-based trial index, channel
         and modality of the first segment that raises, e.g.
         ``trial 3 channel 6 sbp: ...``.
     """
     x = np.asarray(trials, dtype=float)
+    channels = x.shape[-2] if x.ndim > 1 else 0
+    if channels != config.channels:
+        raise ValueError(f"trials have {channels} channels but config.channels = {config.channels}")
     block = x.reshape(-1, *x.shape[-2:])
     segs = segment_channel(block, config.window if config.window is not None else x.shape[-1])
     blocks = []

@@ -18,7 +18,7 @@ from emgactions.features.autoregressive import PoleOnGridError
 from emgactions.features.export import read_feature_csv
 from emgactions.selection import reference_selection
 
-from ._synth import blobs
+from ._synth import assert_no_child_left, blobs, force_fork
 
 ACTIONS = {1: "Bowing", 2: "Clapping"}
 
@@ -234,6 +234,88 @@ class TestExtract:
         err = capsys.readouterr().err
         assert f"error: {data / 'b.txt'}: line 121: expected 8 fields, got 3" in err
         assert not (out / "features.csv").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedExtract:
+    """extract forced to fork, one recording per process, writes and fails
+    as the serial run does; b.txt and c.txt are extracted in children."""
+
+    NAMES = ("a.txt", "b.txt", "c.txt")
+
+    def corpus(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        for action, name in enumerate(self.NAMES, start=1):
+            write_recording(data / name, 1, action)
+        manifest = tmp_path / "manifest.txt"
+        entries = "".join(f"entry = {name} 1 {a}\n" for a, name in enumerate(self.NAMES, 1))
+        manifest.write_text("root = data\ntrials = 3\nchannels = 8\n" + entries)
+        return data, manifest
+
+    @staticmethod
+    def serial_and_forked(tmp_path, monkeypatch, capsys, manifest):
+        """[(exit code, stderr, out directory)] of a serial, then a forked run."""
+        runs = []
+        for run in ("serial", "forked"):
+            if run == "forked":
+                forked = force_fork(monkeypatch, 3)
+            out = tmp_path / run
+            rc = main(["extract", "--manifest", str(manifest), "--out", str(out)])
+            runs.append((rc, capsys.readouterr().err, out))
+        assert len(forked) == 2
+        assert_no_child_left()
+        return runs
+
+    def test_outputs_match_serial(self, tmp_path, monkeypatch, capsys):
+        _, manifest = self.corpus(tmp_path)
+        serial, forked = self.serial_and_forked(tmp_path, monkeypatch, capsys, manifest)
+        assert serial[:2] == forked[:2] == (0, "")
+        for name in ("features.csv", "registry.csv"):
+            assert (serial[2] / name).read_bytes() == (forked[2] / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "fault", ["malformed_middle", "malformed_last", "non_utf8", "too_short", "extractor", "two"]
+    )
+    def test_error_matches_serial(self, tmp_path, monkeypatch, capsys, fault):
+        data, manifest = self.corpus(tmp_path)
+        b, c = data / "b.txt", data / "c.txt"
+        if fault in ("malformed_middle", "malformed_last", "two"):
+            bad = b if fault != "malformed_last" else c
+            with open(bad, "a", encoding="utf-8") as fh:
+                fh.write("1 2 3\n")  # line 121 of a 3 x 40 sample file
+            expected = f"error: {bad}: line 121: expected 8 fields, got 3"
+        if fault in ("non_utf8", "two"):
+            lines = c.read_bytes().split(b"\n")
+            lines[1] = b"\xff" + lines[1]
+            c.write_bytes(b"\n".join(lines))
+            if fault == "non_utf8":
+                expected = f"error: {c}:2: byte 0xff is not UTF-8 text"
+        if fault == "too_short":
+            b.write_text("1 2 3 4 5 6 7 8\n1 2 3 4 5 6 7 8\n")
+            expected = f"error: {b}: 2 samples cannot supply 3 non-empty trials"
+        if fault == "extractor":
+            from emgactions.features import assemble
+
+            rows = np.loadtxt(c)
+            rows[80:, 2] = 0.0  # trial 3, channel 3
+            np.savetxt(c, rows, fmt="%.6f")
+            real = assemble.ar_psd
+
+            def ar_psd(model, grid_size=100):
+                if np.any(np.asarray(model.noise_variance) == 0.0):
+                    raise PoleOnGridError("AR denominator vanished on the frequency grid")
+                return real(model, grid_size)
+
+            monkeypatch.setattr(assemble, "ar_psd", ar_psd)
+            expected = (
+                "error: subject 1 action 3 trial 3 channel 3 sbp: "
+                "AR denominator vanished on the frequency grid"
+            )
+        serial, forked = self.serial_and_forked(tmp_path, monkeypatch, capsys, manifest)
+        assert serial[:2] == forked[:2] == (2, expected + "\n")
+        for _, _, out in (serial, forked):
+            assert not (out / "features.csv").exists()
 
 
 class TestSelect:

@@ -49,6 +49,29 @@ def test_malformed_line_error_survives_pickling():
     assert copy.line_no == 4
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("1 2 3 4 5 6 7 8\n1 2 3\n", MalformedLineError, "line 2: expected 8 fields, got 3"),
+        ("\n\n", EmptyRecordingError, "no data lines in recording"),
+        ("1 2 3 4 5 6 7 8\n", TooShortError, "1 samples cannot supply 3 non-empty trials"),
+    ],
+)
+def test_read_error_keeps_its_path_across_a_pickle(tmp_path, text, error, message):
+    # A forked extract sends load_dataset's errors back pickled.
+    path = tmp_path / "rec.txt"
+    path.write_text(text)
+    manifest = DatasetManifest(str(tmp_path), [ManifestEntry("rec.txt", 1, 1)], trials_per_file=3)
+    with pytest.raises(error) as exc:
+        list(load_dataset(manifest))
+    assert str(exc.value) == f"{path}: {message}"
+    copy = pickle.loads(pickle.dumps(exc.value))
+    assert type(copy) is error
+    assert str(copy) == str(exc.value)
+    if error is MalformedLineError:
+        assert (copy.line_no, copy.message, copy.path) == (2, "expected 8 fields, got 3", str(path))
+
+
 def test_parse_line_numbers_count_blank_lines():
     with pytest.raises(MalformedLineError) as exc:
         parse_recording("1 2\n\n1 2\nbad line\n", 2)

@@ -1,4 +1,6 @@
+import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,6 +164,19 @@ class TestAssemble:
         vec = assemble_features(make_trial(), cfg)
         assert vec.shape == (len(registry_for(cfg)),)
         assert np.all(np.isfinite(vec))
+
+    @pytest.mark.parametrize("shape, channels", [((8, 64), 8), ((2, 4, 64), 4), ((64,), 0)])
+    def test_channel_count_must_match_config(self, shape, channels):
+        # Unchecked, 8 channels under a 4-channel config gave 265 values
+        # against a 133-column registry.
+        cfg = FeatureConfig(channels=4 if channels == 8 else 8, pairs=((1, 2),))
+        trials = np.random.default_rng(0).normal(0, 100, shape)
+        message = f"trials have {channels} channels but config.channels = {cfg.channels}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            assemble_features(trials, cfg)
+        if channels:
+            fits = replace(cfg, channels=channels)
+            assert assemble_features(trials, fits).shape[-1] == len(registry_for(fits))
 
     def test_deterministic(self):
         cfg = FeatureConfig()
