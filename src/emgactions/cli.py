@@ -185,7 +185,7 @@ def _extract_features(manifest, config) -> tuple:
     in manifest order, so the result keeps every bit, and the first error
     in manifest order is raised with the text a serial run gives.
     """
-    load_dataset(manifest)
+    load_dataset(manifest)  # checks the paths; its iterator is dropped unread
     size = sum(os.path.getsize(os.path.join(manifest.root, e.path)) for e in manifest.entries)
 
     def extract(entries) -> tuple:

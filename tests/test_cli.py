@@ -72,6 +72,21 @@ def workspace(tmp_path_factory):
     }
 
 
+def fail_on_zero_noise_ar(monkeypatch):
+    """Make extraction's ar_psd fail on a zero-noise AR model, the fit of a
+    zeroed channel, as it would on a near-unstable fit."""
+    from emgactions.features import assemble
+
+    real = assemble.ar_psd
+
+    def ar_psd(model, grid_size=100):
+        if np.any(np.asarray(model.noise_variance) == 0.0):
+            raise PoleOnGridError("AR denominator vanished on the frequency grid")
+        return real(model, grid_size)
+
+    monkeypatch.setattr(assemble, "ar_psd", ar_psd)
+
+
 def rows_of(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -193,23 +208,12 @@ class TestExtract:
         assert names[16:18] == ["ics_ch1_ch2", "ics_ch3_ch4"]
 
     def test_pole_on_grid_is_input_error(self, tmp_path, capsys, monkeypatch):
-        # A zeroed channel fits a zero-noise AR model; a stand-in ar_psd fails
-        # on exactly that model, as a near-unstable fit would.
-        from emgactions.features import assemble
-
         rows = np.random.default_rng(0).normal(0, 1.0, (3 * 40, 8))
         rows[80:, 2] = 0.0  # trial 3, channel 3
         np.savetxt(tmp_path / "Bowing.txt", rows, fmt="%.6f")
         manifest = tmp_path / "manifest.txt"
         manifest.write_text(f"root = {tmp_path}\ntrials = 3\nchannels = 8\nentry = Bowing.txt 4 7\n")
-        real = assemble.ar_psd
-
-        def ar_psd(model, grid_size=100):
-            if np.any(np.asarray(model.noise_variance) == 0.0):
-                raise PoleOnGridError("AR denominator vanished on the frequency grid")
-            return real(model, grid_size)
-
-        monkeypatch.setattr(assemble, "ar_psd", ar_psd)
+        fail_on_zero_noise_ar(monkeypatch)
         rc = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
@@ -255,14 +259,15 @@ class TestForkedExtract:
 
     @staticmethod
     def serial_and_forked(tmp_path, monkeypatch, capsys, manifest):
-        """[(exit code, stderr, out directory)] of a serial, then a forked run."""
-        runs = []
-        for run in ("serial", "forked"):
-            if run == "forked":
-                forked = force_fork(monkeypatch, 3)
-            out = tmp_path / run
+        """(exit code, stderr, out directory) of a serial, then a forked run."""
+
+        def run(out):
             rc = main(["extract", "--manifest", str(manifest), "--out", str(out)])
-            runs.append((rc, capsys.readouterr().err, out))
+            return rc, capsys.readouterr().err, out
+
+        serial = run(tmp_path / "serial")
+        forked = force_fork(monkeypatch, 3)
+        runs = serial, run(tmp_path / "forked")
         assert len(forked) == 2
         assert_no_child_left()
         return runs
@@ -295,19 +300,10 @@ class TestForkedExtract:
             b.write_text("1 2 3 4 5 6 7 8\n1 2 3 4 5 6 7 8\n")
             expected = f"error: {b}: 2 samples cannot supply 3 non-empty trials"
         if fault == "extractor":
-            from emgactions.features import assemble
-
             rows = np.loadtxt(c)
             rows[80:, 2] = 0.0  # trial 3, channel 3
             np.savetxt(c, rows, fmt="%.6f")
-            real = assemble.ar_psd
-
-            def ar_psd(model, grid_size=100):
-                if np.any(np.asarray(model.noise_variance) == 0.0):
-                    raise PoleOnGridError("AR denominator vanished on the frequency grid")
-                return real(model, grid_size)
-
-            monkeypatch.setattr(assemble, "ar_psd", ar_psd)
+            fail_on_zero_noise_ar(monkeypatch)
             expected = (
                 "error: subject 1 action 3 trial 3 channel 3 sbp: "
                 "AR denominator vanished on the frequency grid"
