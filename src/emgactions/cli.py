@@ -14,7 +14,9 @@ import contextlib
 import csv
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 import warnings
 from dataclasses import replace
@@ -165,34 +167,52 @@ def _write_table(cfg: ExperimentConfig, name: str, header, rows) -> str:
     return path
 
 
-# Distance cells that cost as much time as extracting one recording byte: on
-# one CPU of a 2-vCPU host, extraction took 53 to 68 ns a byte and k-fold
-# scoring 8.8 to 10.7 ns a cell. map_chunks thus runs one process more per
-# 2.8 MB of recordings (FORK_CELLS / 6 bytes).
+# Distance cells that cost as much time as extracting one recording byte and
+# writing its feature rows: on one CPU of a 2-vCPU host, that took 59 to 93 ns
+# a byte and k-fold scoring 9.8 to 13.1 ns a cell, a ratio of 5.5 to 7.1
+# (median 6.1). map_chunks thus runs one process more per 2.8 MB of
+# recordings (FORK_CELLS / 6 bytes).
 EXTRACT_CELLS_PER_BYTE = 6
 
 
-def _extract_features(manifest, config) -> tuple:
-    """(X, y, subjects, trials) of every manifest entry, in manifest order,
-    as extract_feature_matrix(load_dataset(manifest), config) returns them.
+def _extract_features(manifest, config, path) -> int:
+    """Write the feature rows of every manifest entry, in manifest order, to
+    path as write_feature_csv writes extract_feature_matrix(load_dataset(
+    manifest), config); returns the number of rows.
 
     Every recording path is checked before any file is parsed or any
     process forked. The entries are then cut into contiguous runs through
     map_chunks, sized at EXTRACT_CELLS_PER_BYTE cells per recording byte:
     this process extracts the first run and a forked child each other one,
-    each streaming its recordings one at a time. Only each run's features
-    and its label, subject and trial arrays come back, and they are joined
-    in manifest order, so the result keeps every bit, and the first error
-    in manifest order is raised with the text a serial run gives.
+    each streaming its recordings one at a time and writing its rows to its
+    own part file in a temporary directory. Once every run has succeeded,
+    the parts are copied to path in manifest order, each after the first
+    without its header line, so the file keeps every byte; the first error
+    in manifest order is raised with the text a serial run gives, path is
+    not written, and the part files are removed either way.
     """
     load_dataset(manifest)  # checks the paths; its iterator is dropped unread
     size = sum(os.path.getsize(os.path.join(manifest.root, e.path)) for e in manifest.entries)
+    registry = registry_for(config)
 
-    def extract(entries) -> tuple:
-        return extract_feature_matrix(load_dataset(replace(manifest, entries=entries)), config)
+    with tempfile.TemporaryDirectory() as parts:
 
-    chunks = map_chunks(extract, manifest.entries, size * EXTRACT_CELLS_PER_BYTE)
-    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+        def extract(run) -> tuple:  # run: a range of entry indices
+            part = os.path.join(parts, f"{run.start}.csv")
+            chunk = replace(manifest, entries=manifest.entries[run.start : run.stop])
+            X, y, subjects, trials = extract_feature_matrix(load_dataset(chunk), config)
+            write_feature_csv(part, X, y, subjects, trials, registry)
+            return part, len(y)
+
+        chunks = map_chunks(extract, range(len(manifest.entries)), size * EXTRACT_CELLS_PER_BYTE)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as out:
+            for n, (part, _) in enumerate(chunks):
+                with open(part, "rb") as fh:
+                    if n:
+                        fh.readline()
+                    shutil.copyfileobj(fh, out)
+    return sum(rows for _, rows in chunks)
 
 
 def cmd_extract(args) -> int:
@@ -214,14 +234,12 @@ def cmd_extract(args) -> int:
                 f"{manifest_path}: the manifest has channels = {manifest.channels} but the "
                 f"config has channels = {channels}; set both to the recordings' channel count"
             )
-    X, y, subjects, trials = _extract_features(manifest, cfg.features)
-    registry = registry_for(cfg.features)
-    os.makedirs(cfg.out, exist_ok=True)
     features_path = os.path.join(cfg.out, "features.csv")
     registry_path = os.path.join(cfg.out, "registry.csv")
-    write_feature_csv(features_path, X, y, subjects, trials, registry)
+    patterns = _extract_features(manifest, cfg.features, features_path)
+    registry = registry_for(cfg.features)
     write_registry_csv(registry_path, registry)
-    print(f"wrote {features_path} ({X.shape[0]} patterns x {X.shape[1]} features)")
+    print(f"wrote {features_path} ({patterns} patterns x {len(registry)} features)")
     print(f"wrote {registry_path}")
     return 0
 

@@ -306,6 +306,8 @@ def map_chunks(fn, items, cells: int) -> list:
     one per usable CPU; it stays serial where os.fork is missing.
     """
     n = len(items)
+    if not n:
+        return []
     processes = min(n, 1 + cells // FORK_CELLS)
     if processes > 1:
         processes = min(processes, usable_cpus()) if hasattr(os, "fork") else 1

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -259,10 +260,15 @@ class TestForkedExtract:
 
     @staticmethod
     def serial_and_forked(tmp_path, monkeypatch, capsys, manifest):
-        """(exit code, stderr, out directory) of a serial, then a forked run."""
+        """(exit code, stderr, out directory) of a serial, then a forked run;
+        each leaves the temporary directory empty."""
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
 
         def run(out):
             rc = main(["extract", "--manifest", str(manifest), "--out", str(out)])
+            assert list(temp.iterdir()) == []
             return rc, capsys.readouterr().err, out
 
         serial = run(tmp_path / "serial")
@@ -276,6 +282,8 @@ class TestForkedExtract:
         _, manifest = self.corpus(tmp_path)
         serial, forked = self.serial_and_forked(tmp_path, monkeypatch, capsys, manifest)
         assert serial[:2] == forked[:2] == (0, "")
+        for out in (serial[2], forked[2]):
+            assert sorted(p.name for p in out.iterdir()) == ["features.csv", "registry.csv"]
         for name in ("features.csv", "registry.csv"):
             assert (serial[2] / name).read_bytes() == (forked[2] / name).read_bytes()
 

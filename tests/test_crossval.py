@@ -446,3 +446,11 @@ class TestForkedFolds:
             kfold_cv(X, y, k=4, config=config)
             assert len(forked) == processes - 1, fork_cells
             assert_no_child_left()
+
+
+@pytest.mark.parametrize("cells", [0, 1 << 30])
+def test_map_chunks_of_no_items_is_empty(monkeypatch, cells):
+    forked = force_fork(monkeypatch, 4)
+    calls = []
+    assert crossval.map_chunks(calls.append, [], cells) == []
+    assert calls == forked == []
