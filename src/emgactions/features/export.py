@@ -26,11 +26,10 @@ def write_feature_csv(path: str, X, y, subjects, trials, registry: FeatureRegist
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(list(registry.names()) + list(META_COLUMNS))
         # A float's repr holds no character csv would quote, so the rows are
-        # joined directly: a list's str is its items' reprs joined by ", ",
-        # which no float repr contains. One row at a time: a whole-matrix
-        # tolist() would hold every cell as a Python float at once.
+        # joined directly. One row at a time: a whole-matrix tolist() would
+        # hold every cell as a Python float at once.
         for row, label, subject, trial in zip(X, y, subjects, trials):
-            fh.write(str(row.tolist())[1:-1].replace(", ", ","))
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write(f",{int(subject)},{int(trial)},{int(label)}\n")
 
 
