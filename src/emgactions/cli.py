@@ -169,7 +169,7 @@ def _write_table(cfg: ExperimentConfig, name: str, header, rows) -> str:
 
 # Distance cells that cost as much time as extracting one recording byte and
 # writing its feature rows: on one CPU of a 2-vCPU host, that took 59 to 93 ns
-# a byte and k-fold scoring 9.8 to 13.1 ns a cell, a ratio of 5.5 to 7.1
+# a byte and k-fold scoring 9.8 to 13.7 ns a cell, a ratio of 5.5 to 7.3
 # (median 6.1). map_chunks thus runs one process more per 2.8 MB of
 # recordings (FORK_CELLS / 6 bytes).
 EXTRACT_CELLS_PER_BYTE = 6
