@@ -167,33 +167,24 @@ def _write_table(cfg: ExperimentConfig, name: str, header, rows) -> str:
     return path
 
 
-# Distance cells that cost as much time as extracting one recording byte and
-# writing its feature rows: on one CPU of a 2-vCPU host, that took 59 to 93 ns
-# a byte and k-fold scoring 9.8 to 13.7 ns a cell, a ratio of 5.5 to 7.3
-# (median 6.1). map_chunks thus runs one process more per 2.8 MB of
-# recordings (FORK_CELLS / 6 bytes).
-EXTRACT_CELLS_PER_BYTE = 6
-
-
-def _extract_features(manifest, config, path) -> int:
+def _extract_features(manifest, config, registry, path) -> int:
     """Write the feature rows of every manifest entry, in manifest order, to
     path as write_feature_csv writes extract_feature_matrix(load_dataset(
-    manifest), config); returns the number of rows.
+    manifest), config) with registry; returns the number of rows.
 
     Every recording path is checked before any file is parsed or any
-    process forked. The entries are then cut into contiguous runs through
-    map_chunks, sized at EXTRACT_CELLS_PER_BYTE cells per recording byte:
-    this process extracts the first run and a forked child each other one,
-    each streaming its recordings one at a time and writing its rows to its
-    own part file in a temporary directory. Once every run has succeeded,
-    the parts are copied to path in manifest order, each after the first
+    process forked. The entries are then cut through map_chunks into
+    contiguous runs, one per usable CPU and at most one per recording: this
+    process extracts the first run and a forked child each other one, each
+    streaming its recordings one at a time and writing its rows to its own
+    part file in a temporary directory. Once every run has succeeded, the
+    parts are copied to path in manifest order, each after the first
     without its header line, so the file keeps every byte; the first error
     in manifest order is raised with the text a serial run gives, path is
     not written, and the part files are removed either way.
     """
     load_dataset(manifest)  # checks the paths; its iterator is dropped unread
-    size = sum(os.path.getsize(os.path.join(manifest.root, e.path)) for e in manifest.entries)
-    registry = registry_for(config)
+    entries = range(len(manifest.entries))
 
     with tempfile.TemporaryDirectory() as parts:
 
@@ -204,7 +195,7 @@ def _extract_features(manifest, config, path) -> int:
             write_feature_csv(part, X, y, subjects, trials, registry)
             return part, len(y)
 
-        chunks = map_chunks(extract, range(len(manifest.entries)), size * EXTRACT_CELLS_PER_BYTE)
+        chunks = map_chunks(extract, entries, len(entries))
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as out:
             for n, (part, _) in enumerate(chunks):
@@ -236,8 +227,8 @@ def cmd_extract(args) -> int:
             )
     features_path = os.path.join(cfg.out, "features.csv")
     registry_path = os.path.join(cfg.out, "registry.csv")
-    patterns = _extract_features(manifest, cfg.features, features_path)
     registry = registry_for(cfg.features)
+    patterns = _extract_features(manifest, cfg.features, registry, features_path)
     write_registry_csv(registry_path, registry)
     print(f"wrote {features_path} ({patterns} patterns x {len(registry)} features)")
     print(f"wrote {registry_path}")

@@ -187,11 +187,12 @@ def kfold_cv(
     inside each training fold only.
 
     A call that computes FORK_CELLS distance cells or more per extra process
-    (each fold's test rows x training rows, and under sigma=None each of its
-    inner splits' once per grid value) scores contiguous chunks of the folds
-    at once through map_chunks, one per usable CPU. Each chunk returns its
-    integer confusion matrix and sigmas, so the report keeps every bit, and
-    the first error in fold order is raised as scoring serially raises it.
+    (cell_processes; each fold's test rows x training rows, and under
+    sigma=None each of its inner splits' once per grid value) scores
+    contiguous chunks of the folds at once through map_chunks, one per
+    usable CPU. Each chunk returns its integer confusion matrix and sigmas,
+    so the report keeps every bit, and the first error in fold order is
+    raised as scoring serially raises it.
 
     Raises:
         TooFewSamplesError: some class has fewer than k samples.
@@ -241,7 +242,7 @@ def kfold_cv(
 
     cm = np.zeros((C, C), dtype=int)
     sigmas = []
-    for chunk_cm, chunk_sigmas in map_chunks(score, splits, cells):
+    for chunk_cm, chunk_sigmas in map_chunks(score, splits, cell_processes(cells)):
         cm += chunk_cm
         sigmas += chunk_sigmas
     return EvalReport(confusion=cm, alpha=accuracy(cm), kappa=kappa(cm), sigmas=tuple(sigmas))
@@ -251,6 +252,12 @@ def split_cells(splits) -> int:
     """Distance cells (test rows x training rows) that scoring the splits
     once computes."""
     return sum(test.size * train.size for train, test in splits)
+
+
+def cell_processes(cells: int) -> int:
+    """Processes a call that computes cells distance cells is worth: one,
+    and one more per FORK_CELLS cells."""
+    return 1 + cells // FORK_CELLS
 
 
 def monte_carlo(
@@ -296,19 +303,19 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def map_chunks(fn, items, cells: int) -> list:
+def map_chunks(fn, items, processes: int) -> list:
     """[fn(chunk) for chunk in chunks], where chunks cut items into contiguous
     runs, one per process: this process computes the first and a forked child
     process each other (see _map_forked).
 
-    cells is the count of distance cells fn computes over all items. A call
-    runs one process more per FORK_CELLS cells, at most one per item and
-    one per usable CPU; it stays serial where os.fork is missing.
+    processes is the number of processes the work is worth; a call runs that
+    many, at most one per item and one per usable CPU, and stays serial
+    where os.fork is missing.
     """
     n = len(items)
     if not n:
         return []
-    processes = min(n, 1 + cells // FORK_CELLS)
+    processes = min(n, processes)
     if processes > 1:
         processes = min(processes, usable_cpus()) if hasattr(os, "fork") else 1
     bounds = [n * p // processes for p in range(processes + 1)]

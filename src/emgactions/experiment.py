@@ -132,7 +132,8 @@ def read_config(path: str) -> ExperimentConfig:
     select the defaults explicitly. Relative manifest/out paths are resolved
     against the config file's directory. Each of ``pairs`` joins two
     different channels in 1..``channels``, and no pair repeats in either
-    order.
+    order. ``n_bands`` divides ``psd_grid``, and a numeric ``window`` holds
+    more than ``ar_order`` samples and at least ``lbp_window``.
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(f"config not found: {path}")
@@ -143,14 +144,32 @@ def read_config(path: str) -> ExperimentConfig:
             cfg = _apply_key(cfg, key, value, base)
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from None
-    # channels may follow pairs in the file, so they are checked together.
-    channels = cfg.features.channels
-    for i, j in cfg.features.pairs:
+    # Keys that constrain each other may come in any order, so they are
+    # checked together once every key is read.
+    features = cfg.features
+    channels = features.channels
+    for i, j in features.pairs:
         if not (1 <= i <= channels and 1 <= j <= channels):
             raise ValueError(
                 f"{path}: pairs has {i}-{j}, but channels = {channels}; "
                 f"every pair needs two channels in 1..{channels}"
             )
+    if features.psd_grid % features.n_bands:
+        raise ValueError(
+            f"{path}: psd_grid = {features.psd_grid}, but n_bands = {features.n_bands}; "
+            "the bands must split psd_grid into equal parts"
+        )
+    window = features.window
+    if window is not None and features.ar_order >= window:
+        raise ValueError(
+            f"{path}: ar_order = {features.ar_order}, but window = {window}; "
+            "an AR model needs more samples than its order"
+        )
+    if window is not None and features.lbp_window > window:
+        raise ValueError(
+            f"{path}: lbp_window = {features.lbp_window}, but window = {window}; "
+            "the LBP window must fit in the analysis window"
+        )
     return cfg
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from emgactions.crossval import (
     MonteCarloResult,
+    cell_processes,
     fold_splits,
     kfold_assignment,
     map_chunks,
@@ -93,10 +94,10 @@ def cv_accuracy_criterion(
     sum. Memory: two float64 (ROW_BLOCK, n_train) buffers per call.
 
     A call whose step holds crossval.FORK_CELLS distance cells or more
-    per extra process scores contiguous chunks of the candidates at once
-    through crossval.map_chunks, one per usable CPU, with the same
-    arithmetic, so every score keeps its bits and the first failing
-    candidate fails.
+    per extra process (crossval.cell_processes) scores contiguous chunks
+    of the candidates at once through crossval.map_chunks, one per usable
+    CPU, with the same arithmetic, so every score keeps its bits and the
+    first failing candidate fails.
 
     The distances are summed directly as sum_j (x_j - e_j)^2 where
     PnnModel.predict_batch expands them, and numpy sums a lone column
@@ -172,9 +173,8 @@ def cv_accuracy_criterion(
             raise NoFeaturesError("no candidate feature to score")
         # Chunks keep candidate order, so the first failing chunk holds the
         # first failing candidate.
-        chunks = map_chunks(
-            lambda chunk: score(selected, chunk), candidates, len(candidates) * cells_per_candidate
-        )
+        processes = cell_processes(len(candidates) * cells_per_candidate)
+        chunks = map_chunks(lambda chunk: score(selected, chunk), candidates, processes)
         return [count / y.size for counts in chunks for count in counts]
 
     return criterion

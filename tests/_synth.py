@@ -15,6 +15,12 @@ def force_fork(monkeypatch, cpus):
     """Fork every call that crossval.map_chunks runs, on cpus CPUs; returns
     the list of pids forked, which grows as calls fork."""
     monkeypatch.setattr(crossval, "FORK_CELLS", 1)
+    return count_forks(monkeypatch, cpus)
+
+
+def count_forks(monkeypatch, cpus):
+    """Let crossval.map_chunks use cpus CPUs; returns the list of pids
+    forked, which grows as calls fork."""
     monkeypatch.setattr(crossval, "usable_cpus", lambda: cpus)
     forked, fork = [], os.fork
 

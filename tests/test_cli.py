@@ -19,7 +19,7 @@ from emgactions.features.autoregressive import PoleOnGridError
 from emgactions.features.export import read_feature_csv
 from emgactions.selection import reference_selection
 
-from ._synth import assert_no_child_left, blobs, force_fork
+from ._synth import assert_no_child_left, blobs, count_forks, force_fork
 
 ACTIONS = {1: "Bowing", 2: "Clapping"}
 
@@ -243,18 +243,19 @@ class TestExtract:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedExtract:
-    """extract forced to fork, one recording per process, writes and fails
-    as the serial run does; b.txt and c.txt are extracted in children."""
+    """extract on one CPU, then on three, one recording per process, writes
+    and fails as the serial run does; b.txt and c.txt are extracted in
+    children."""
 
     NAMES = ("a.txt", "b.txt", "c.txt")
 
-    def corpus(self, tmp_path):
+    def corpus(self, tmp_path, names=NAMES):
         data = tmp_path / "data"
         data.mkdir()
-        for action, name in enumerate(self.NAMES, start=1):
+        for action, name in enumerate(names, start=1):
             write_recording(data / name, 1, action)
         manifest = tmp_path / "manifest.txt"
-        entries = "".join(f"entry = {name} 1 {a}\n" for a, name in enumerate(self.NAMES, 1))
+        entries = "".join(f"entry = {name} 1 {a}\n" for a, name in enumerate(names, 1))
         manifest.write_text("root = data\ntrials = 3\nchannels = 8\n" + entries)
         return data, manifest
 
@@ -271,12 +272,26 @@ class TestForkedExtract:
             assert list(temp.iterdir()) == []
             return rc, capsys.readouterr().err, out
 
+        forked = count_forks(monkeypatch, 1)
         serial = run(tmp_path / "serial")
-        forked = force_fork(monkeypatch, 3)
+        assert forked == []
+        forked = count_forks(monkeypatch, 3)
         runs = serial, run(tmp_path / "forked")
         assert len(forked) == 2
         assert_no_child_left()
         return runs
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("entries", [1, 2, 3])
+    def test_one_process_per_cpu_and_recording(self, tmp_path, monkeypatch, capsys, cpus, entries):
+        # No distance threshold: even these 3 KB recordings fork.
+        _, manifest = self.corpus(tmp_path, self.NAMES[:entries])
+        forked = count_forks(monkeypatch, cpus)
+        out = tmp_path / "out"
+        assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert len(forked) == min(entries, cpus) - 1
+        assert_no_child_left()
+        assert len(rows_of(out / "features.csv")) == 1 + 3 * entries
 
     def test_outputs_match_serial(self, tmp_path, monkeypatch, capsys):
         _, manifest = self.corpus(tmp_path)
@@ -923,6 +938,41 @@ class TestConfig:
         )
         cfg.write_text("pairs = 1-2; 4-3\nchannels = 4\n")
         assert read_config(str(cfg)).features.pairs == ((1, 2), (4, 3))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("psd_grid = 95\n", "psd_grid = 95, but n_bands = 10; "
+             "the bands must split psd_grid into equal parts"),
+            ("n_bands = 7\npsd_grid = 60\n", "psd_grid = 60, but n_bands = 7; "
+             "the bands must split psd_grid into equal parts"),
+            ("window = 4\n", "ar_order = 4, but window = 4; "
+             "an AR model needs more samples than its order"),
+            ("ar_order = 12\nwindow = 10\n", "ar_order = 12, but window = 10; "
+             "an AR model needs more samples than its order"),
+            ("window = 16\nlbp_window = 17\n", "lbp_window = 17, but window = 16; "
+             "the LBP window must fit in the analysis window"),
+        ],
+    )
+    def test_contradicting_feature_keys_fail_before_reading(self, tmp_path, capsys, text, message):
+        # Rejected before any file is read: the entry's file does not exist.
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("trials = 3\nchannels = 8\nentry = absent.txt 1 1\n")
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        out = tmp_path / "out"
+        argv = ["extract", "--config", str(config), "--manifest", str(manifest), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not (out / "features.csv").exists()
+
+    def test_feature_keys_at_their_limits_pass(self, tmp_path):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("window = 5\nar_order = 4\nlbp_window = 5\npsd_grid = 7\nn_bands = 7\n")
+        features = read_config(str(cfg)).features
+        assert (features.window, features.ar_order, features.lbp_window) == (5, 4, 5)
+        cfg.write_text("window = full\nar_order = 50\nlbp_window = 60\n")
+        assert read_config(str(cfg)).features.window is None
 
     def test_missing_config_exits_2(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "absent.cfg"

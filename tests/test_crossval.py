@@ -448,9 +448,9 @@ class TestForkedFolds:
             assert_no_child_left()
 
 
-@pytest.mark.parametrize("cells", [0, 1 << 30])
-def test_map_chunks_of_no_items_is_empty(monkeypatch, cells):
+@pytest.mark.parametrize("processes", [0, 1 << 30])
+def test_map_chunks_of_no_items_is_empty(monkeypatch, processes):
     forked = force_fork(monkeypatch, 4)
     calls = []
-    assert crossval.map_chunks(calls.append, [], cells) == []
+    assert crossval.map_chunks(calls.append, [], processes) == []
     assert calls == forked == []
