@@ -186,13 +186,13 @@ def kfold_cv(
     produce the same report. Normalization and any sigma selection happen
     inside each training fold only.
 
-    A call that computes FORK_CELLS distance cells or more per extra process
-    (cell_processes; each fold's test rows x training rows, and under
-    sigma=None each of its inner splits' once per grid value) scores
-    contiguous chunks of the folds at once through map_chunks, one per
-    usable CPU. Each chunk returns its integer confusion matrix and sigmas,
-    so the report keeps every bit, and the first error in fold order is
-    raised as scoring serially raises it.
+    A call whose distance cells (each fold's test rows x training rows, and
+    under sigma=None each of its inner splits' once per grid value) are
+    worth more than one process by cell_processes scores contiguous chunks
+    of the folds at once through map_chunks, one per usable CPU. Each chunk
+    returns its integer confusion matrix and sigmas, so the report keeps
+    every bit, and the first error in fold order is raised as scoring
+    serially raises it.
 
     Raises:
         TooFewSamplesError: some class has fewer than k samples.
@@ -255,8 +255,7 @@ def split_cells(splits) -> int:
 
 
 def cell_processes(cells: int) -> int:
-    """Processes a call that computes cells distance cells is worth: one,
-    and one more per FORK_CELLS cells."""
+    """Processes worth running for cells distance cells: one, plus one per FORK_CELLS."""
     return 1 + cells // FORK_CELLS
 
 

@@ -93,11 +93,11 @@ def cv_accuracy_criterion(
     selected columns, in order, and adds each candidate's column to that
     sum. Memory: two float64 (ROW_BLOCK, n_train) buffers per call.
 
-    A call whose step holds crossval.FORK_CELLS distance cells or more
-    per extra process (crossval.cell_processes) scores contiguous chunks
-    of the candidates at once through crossval.map_chunks, one per usable
-    CPU, with the same arithmetic, so every score keeps its bits and the
-    first failing candidate fails.
+    A call whose step's distance cells are worth more than one process by
+    crossval.cell_processes scores contiguous chunks of the candidates at
+    once through crossval.map_chunks, one per usable CPU, with the same
+    arithmetic, so every score keeps its bits and the first failing
+    candidate fails.
 
     The distances are summed directly as sum_j (x_j - e_j)^2 where
     PnnModel.predict_batch expands them, and numpy sums a lone column
