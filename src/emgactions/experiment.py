@@ -132,8 +132,9 @@ def read_config(path: str) -> ExperimentConfig:
     select the defaults explicitly. Relative manifest/out paths are resolved
     against the config file's directory. Each of ``pairs`` joins two
     different channels in 1..``channels``, and no pair repeats in either
-    order. ``n_bands`` divides ``psd_grid``, and a numeric ``window`` holds
-    more than ``ar_order`` samples and at least ``lbp_window``.
+    order. ``n_bands`` divides ``psd_grid``, a numeric ``window`` holds
+    more than ``ar_order`` samples and at least ``lbp_window``, and
+    ``lbp_threshold`` lies in 0..2**``lbp_window`` - 2.
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(f"config not found: {path}")
@@ -169,6 +170,13 @@ def read_config(path: str) -> ExperimentConfig:
         raise ValueError(
             f"{path}: lbp_window = {features.lbp_window}, but window = {window}; "
             "the LBP window must fit in the analysis window"
+        )
+    lbp_window, threshold = features.lbp_window, features.lbp_threshold
+    # threshold + 1 < 2**lbp_window, without building 2**lbp_window.
+    if threshold < 0 or (threshold + 1).bit_length() > lbp_window:
+        raise ValueError(
+            f"{path}: lbp_threshold = {threshold}, but lbp_window = {lbp_window}; "
+            f"a threshold outside 0..2**{lbp_window} - 2 leaves one LBP column constant"
         )
     return cfg
 

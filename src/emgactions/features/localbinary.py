@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 LBP_WINDOW = 8
@@ -21,6 +23,12 @@ def lbp_features(segment, window: int = LBP_WINDOW, threshold: int = LBP_THRESHO
     (codes <= threshold, codes > threshold); the two counts always sum to
     L - window + 1. Leading axes are batch axes: (..., L) -> (..., 2).
 
+    No code is built: `code <= threshold` is decided bit by bit from the
+    most significant down, and every position still tied with the
+    threshold counts as at or below it once the threshold's remaining low
+    bits are all 1. At the default threshold, 127, that is bit 7 alone.
+    The counts are exact for any window length.
+
     Raises:
         WindowTooLongError: window > segment length.
     """
@@ -31,10 +39,27 @@ def lbp_features(segment, window: int = LBP_WINDOW, threshold: int = LBP_THRESHO
         raise WindowTooLongError(f"window {window} exceeds segment length {x.shape[-1]}")
     views = np.lib.stride_tricks.sliding_window_view(x, window, axis=-1)
     centers = views.mean(axis=-1)
-    codes = np.zeros(centers.shape, dtype=np.int64)
-    for j in range(window):
-        # sample >= mean is sample - mean >= 0: a float difference is zero
-        # only for equal operands and never changes sign.
-        codes += (views[..., j] >= centers) << j
-    below = np.count_nonzero(codes <= threshold, axis=-1)
-    return np.stack([below, codes.shape[-1] - below], axis=-1)
+    positions = centers.shape[-1]
+    # Codes are integers, so code <= threshold is code <= floor(threshold).
+    t = math.floor(threshold)
+    if t < 0:
+        below = np.zeros(centers.shape[:-1], dtype=np.intp)
+    elif t >= (1 << window) - 1:
+        below = np.full(centers.shape[:-1], positions, dtype=np.intp)
+    else:
+        below = 0
+        tied = True  # the positions whose bits above j all equal the threshold's
+        for j in range(window - 1, -1, -1):
+            low = (2 << j) - 1
+            if t & low == low:
+                break
+            # sample >= mean is sample - mean >= 0: a float difference is
+            # zero only for equal operands and never changes sign.
+            bit = views[..., j] >= centers
+            if t >> j & 1:
+                below = below + np.count_nonzero(tied & ~bit, axis=-1)
+                tied = tied & bit
+            else:
+                tied = tied & ~bit
+        below = below + np.count_nonzero(tied, axis=-1)
+    return np.stack([below, positions - below], axis=-1)

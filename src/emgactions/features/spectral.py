@@ -31,13 +31,19 @@ def power_spectrum(segment) -> np.ndarray:
     Both the sample index l and the frequency index k run 1..L, so the DC
     term lands in the last bin psi(L) rather than the first. Leading axes are
     batch axes: (..., L) -> (..., L).
+
+    Computed from the real FFT's L // 2 + 1 bins: a real segment's DFT
+    has |X(L-k)| = |X(k)|, so the upper half is the lower half mirrored.
     """
     s = np.atleast_1d(np.asarray(segment, dtype=float))
-    if s.shape[-1] < 1:
+    length = s.shape[-1]
+    if length < 1:
         raise ValueError("segment must have at least one sample")
     # l starting at 1 multiplies the standard DFT by a unit phase and
     # rotates bin 0 to bin L; magnitudes are otherwise unchanged.
-    return np.abs(np.roll(np.fft.fft(s, axis=-1), -1, axis=-1)) ** 2
+    half = np.abs(np.fft.rfft(s, axis=-1)) ** 2
+    mirrored = half[..., length - length // 2 - 1 : 0 : -1]
+    return np.concatenate([half[..., 1:], mirrored, half[..., :1]], axis=-1)
 
 
 def spectral_moments(psi) -> np.ndarray:

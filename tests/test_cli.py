@@ -952,6 +952,15 @@ class TestConfig:
              "an AR model needs more samples than its order"),
             ("window = 16\nlbp_window = 17\n", "lbp_window = 17, but window = 16; "
              "the LBP window must fit in the analysis window"),
+            # 127 is above every 7-bit code, so the gt127 column is all zero.
+            ("lbp_window = 7\n", "lbp_threshold = 127, but lbp_window = 7; "
+             "a threshold outside 0..2**7 - 2 leaves one LBP column constant"),
+            ("lbp_threshold = -1\n", "lbp_threshold = -1, but lbp_window = 8; "
+             "a threshold outside 0..2**8 - 2 leaves one LBP column constant"),
+            ("lbp_threshold = 255\n", "lbp_threshold = 255, but lbp_window = 8; "
+             "a threshold outside 0..2**8 - 2 leaves one LBP column constant"),
+            ("lbp_threshold = 9\nlbp_window = 3\n", "lbp_threshold = 9, but lbp_window = 3; "
+             "a threshold outside 0..2**3 - 2 leaves one LBP column constant"),
         ],
     )
     def test_contradicting_feature_keys_fail_before_reading(self, tmp_path, capsys, text, message):
@@ -968,11 +977,17 @@ class TestConfig:
 
     def test_feature_keys_at_their_limits_pass(self, tmp_path):
         cfg = tmp_path / "edge.cfg"
-        cfg.write_text("window = 5\nar_order = 4\nlbp_window = 5\npsd_grid = 7\nn_bands = 7\n")
+        cfg.write_text(
+            "window = 5\nar_order = 4\nlbp_window = 5\nlbp_threshold = 30\npsd_grid = 7\nn_bands = 7\n"
+        )
         features = read_config(str(cfg)).features
         assert (features.window, features.ar_order, features.lbp_window) == (5, 4, 5)
         cfg.write_text("window = full\nar_order = 50\nlbp_window = 60\n")
         assert read_config(str(cfg)).features.window is None
+        for window, threshold in ((5, 0), (5, 2**5 - 2), (1, 0)):
+            cfg.write_text(f"lbp_window = {window}\nlbp_threshold = {threshold}\n")
+            features = read_config(str(cfg)).features
+            assert (features.lbp_window, features.lbp_threshold) == (window, threshold)
 
     def test_missing_config_exits_2(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "absent.cfg"

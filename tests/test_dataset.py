@@ -1,5 +1,6 @@
 import os
 import pickle
+import warnings
 import weakref
 from unittest import mock
 
@@ -126,6 +127,50 @@ def test_bulk_parse_equals_line_parser(data, sep, fmt, blank_lines):
         fast = parse_recording("\n".join(lines) + "\n", data.shape[1])
     assert np.array_equal(fast, slow)
     assert np.array_equal(slow, [[float(fmt(float(v))) for v in row] for row in data])
+
+
+def _float_parse(lines):
+    return np.loadtxt(lines, comments=None, ndmin=2)
+
+
+@pytest.mark.parametrize(
+    "lines, as_integers",
+    [
+        (["1\t-2\t+7", "007\t0\t-500"], True),
+        (["  12 \t 3  4", "", "-9223372036854775808 1 0"], True),
+        # 2**53 + 1 rounds to the same float either way.
+        (["9007199254740993 -9007199254740993 1"], True),
+        # The float parse keeps a negative zero's sign.
+        (["-0 1 2", "3 -00 4"], False),
+        # 2**63 overflows int64.
+        (["9223372036854775808 1 2"], False),
+        (["1e3 1 2"], False),
+        (["1.5 -2 3"], False),
+        ([b"1 -0 2\n", b"3 4 5\n"], False),
+    ],
+)
+def test_integer_parse_gives_the_float_parse(lines, as_integers):
+    expected = _float_parse(lines)
+    assert (dataset._parse_integers(lines) is not None) == as_integers
+    with mock.patch.object(dataset, "_parse_lines", side_effect=AssertionError("fell back")):
+        samples = parse_recording(lines, 3)
+    assert np.array_equal(samples, expected)
+    assert np.array_equal(np.signbit(samples), np.signbit(expected))
+    assert samples.dtype == float
+
+
+def test_integer_parse_refuses_a_truncating_numpy():
+    # Older numpy parses '1.5' as the integer 1 with only a DeprecationWarning.
+    loadtxt = np.loadtxt
+
+    def truncating(lines, dtype=float, **kwargs):
+        if dtype is np.int64:
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            return np.array([[1, 2]])
+        return loadtxt(lines, dtype=dtype, **kwargs)
+
+    with mock.patch.object(np, "loadtxt", truncating):
+        assert np.array_equal(parse_recording(["1.5 2"], 2), [[1.5, 2.0]])
 
 
 def test_parse_empty_stream():

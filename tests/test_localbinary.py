@@ -66,3 +66,56 @@ def test_threshold_boundary_is_inclusive():
     assert np.array_equal(out, [5.0, 4.0])
     out = lbp_features(x, threshold=84)
     assert np.array_equal(out, [0.0, 9.0])
+
+
+def _full_codes(x, window):
+    # The reference: each position's code as an exact Python int.
+    views = np.lib.stride_tricks.sliding_window_view(np.asarray(x, dtype=float), window, axis=-1)
+    bits = views >= views.mean(axis=-1)[..., None]
+    codes = np.empty(bits.shape[:-1], dtype=object)
+    for idx in np.ndindex(codes.shape):
+        codes[idx] = sum(1 << j for j in range(window) if bits[idx + (j,)])
+    return codes
+
+
+def _reference_counts(codes, threshold):
+    below = np.sum(codes <= threshold, axis=-1).astype(int)
+    return np.stack([below, codes.shape[-1] - below], axis=-1)
+
+
+def _exactness_inputs(window):
+    rng = np.random.default_rng(window)
+    n = window + 30
+    return [
+        rng.normal(0, 1, (3, 2, n)),
+        # Small integers: many samples tie with their window mean.
+        rng.integers(-2, 3, (2, n)).astype(float),
+        rng.integers(0, 2, n).astype(float),
+    ]
+
+
+@pytest.mark.parametrize("window", range(1, 11))
+def test_counts_match_full_codes_for_every_threshold(window):
+    for x in _exactness_inputs(window):
+        codes = _full_codes(x, window)
+        for threshold in range(-3, 2**window + 2):
+            expected = _reference_counts(codes, threshold)
+            assert np.array_equal(lbp_features(x, window, threshold), expected), threshold
+
+
+@pytest.mark.parametrize("window", [63, 64, 65, 70])
+def test_counts_match_full_codes_for_long_windows(window):
+    # A code of 64 or more bits fits no int64; the counts must still be exact.
+    for x in _exactness_inputs(window):
+        codes = _full_codes(x, window)
+        present = {int(c) + d for c in codes.ravel()[:40] for d in (-1, 0, 1)}
+        edges = {2**62, 2**63 - 1, 2**63, 2**63 + 1, 2**window - 2, 2**window - 1, 2**window, 2**window + 1}
+        for threshold in sorted({-3, -1, 0, 1, 127} | edges | present):
+            expected = _reference_counts(codes, threshold)
+            assert np.array_equal(lbp_features(x, window, threshold), expected), threshold
+
+
+def test_window_64_counts_do_not_wrap():
+    # Bit 63 of an int64 code would be its sign bit and flip codes negative.
+    x = np.random.default_rng(0).normal(0, 1, 400)
+    assert np.array_equal(lbp_features(x, 64, 127), [0, 337])

@@ -108,3 +108,20 @@ def test_moment_pairs_are_the_ten_ordered_pairs():
     assert MOMENT_PAIRS == tuple(
         (i, j) for i in range(1, 6) for j in range(i + 1, 6)
     )
+
+
+def complex_fft_power(s):
+    # The definition computed from the complex FFT of all L points.
+    return np.abs(np.roll(np.fft.fft(s, axis=-1), -1, axis=-1)) ** 2
+
+
+@pytest.mark.parametrize("length", list(range(1, 71)) + [666, 667])
+def test_real_fft_spectrum_matches_complex_fft(length):
+    rng = np.random.default_rng(length)
+    s = np.concatenate([rng.normal(0, 100, (3, length)), rng.integers(-500, 500, (2, length))])
+    psi = power_spectrum(s.reshape(5, 1, length))[:, 0]
+    ref = complex_fft_power(s)
+    assert psi.shape == ref.shape
+    assert np.all(np.abs(psi - ref) <= 1e-12 * ref.max(axis=-1, keepdims=True))
+    # Bins k and L - k (1-based) hold the same value, the DC term the last.
+    assert np.array_equal(psi[:, :-1], psi[:, -2::-1])
