@@ -270,8 +270,9 @@ def cmd_select(args) -> int:
 def cmd_eval(args) -> int:
     cfg, X, y, names, _, selected = _subset_inputs(args, args.selected == "reference")
     cols = np.asarray(selected, dtype=int) - 1
+    X = X[:, cols]  # nothing below reads the other columns
     with _scores_named(args.features, names, cols):
-        result = monte_carlo(X[:, cols], y, **_cv_args(cfg))
+        result = monte_carlo(X, y, **_cv_args(cfg))
     confusion = result.confusion.tolist()
     confusion_path = _write_table(
         cfg,

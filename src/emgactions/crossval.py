@@ -140,9 +140,10 @@ def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -
     Candidates are scored in ascending order and the first with the most
     hits wins, so ties resolve toward the smallest sigma. Runs entirely on
     the given data; callers pass their training split only. Each inner
-    split is fitted once: the fitted state does not depend on sigma, so
-    every candidate reuses it. An inner split that lacks a class does not
-    warn.
+    split is fitted once, and its test rows' squared distances computed
+    once: neither depends on sigma, so every candidate scores the same
+    buffer through predict_batch, which leaves it unchanged. An inner split
+    that lacks a class does not warn.
 
     Raises:
         EmptyGridError: no candidates.
@@ -165,8 +166,9 @@ def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -
         model = fit_pnn(X[train], y[train], grid[0], n_classes=int(y.max()), warn=False)
         X_test, y_test = X[test], y[test]
         try:
+            d2 = model.distances(X_test)
             for i, sigma in enumerate(grid):
-                labels, _ = replace(model, sigma=sigma).predict_batch(X_test)
+                labels, _ = replace(model, sigma=sigma).predict_batch(X_test, d2)
                 correct[i] += int(np.count_nonzero(labels == y_test))
         except NonFiniteScoreError as exc:
             raise exc.reindexed(rows=test) from None
@@ -211,6 +213,8 @@ def kfold_cv(
     if config.sigma is None and config.selection_folds >= 2:
         for train, _ in splits:
             inner = stratified_folds(y[train], config.selection_folds, config.selection_seed)
+            # Each grid value scores every inner split's cells, though their
+            # distances are computed once.
             cells += len(config.sigma_grid) * split_cells(fold_splits(inner))
 
     def score(chunk) -> tuple:

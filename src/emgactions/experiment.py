@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from emgactions.dataset import read_key_values
 from emgactions.features.assemble import FeatureConfig
-from emgactions.pnn import PnnConfig
+from emgactions.pnn import NonPositiveSigmaError, PnnConfig, check_sigma
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,20 @@ def _parse_grid(value: str) -> tuple:
 
 
 def _sigma(what: str, value: str) -> float:
-    # NaN, inf or a width <= 0 would label every pattern with one class.
+    # NaN, inf or a width <= 0 would label every pattern with one class; a
+    # width too small for the kernel to compute fails check_sigma.
     try:
         sigma = float(value)
     except ValueError:
         sigma = math.nan
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"{what} must be a finite number > 0, got {value!r}")
-    return sigma
+    try:
+        return check_sigma(sigma)
+    except NonPositiveSigmaError:
+        raise ValueError(
+            f"{what} must be large enough that 1 / (2 sigma^2) is finite, got {value!r}"
+        ) from None
 
 
 # Each integer key with the smallest value its consuming code accepts

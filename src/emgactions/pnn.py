@@ -20,9 +20,14 @@ DEFAULT_SIGMA_GRID = (0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0, 1.5)
 # spends about 20 times its normal cost per element on such inputs.
 LOG_ZERO = -746.0
 
+# Query rows scored at once, by predict_batch and the SFS criterion; they
+# size their scratch buffers.
+ROW_BLOCK = 128
+
 
 class NonPositiveSigmaError(ValueError):
-    """Kernel width must be finite and strictly positive."""
+    """Kernel width must be finite, strictly positive and large enough that
+    1 / (2 sigma^2) is finite."""
 
 
 class DimensionMismatchError(ValueError):
@@ -122,12 +127,47 @@ class PnnModel:
     def n_features(self) -> int:
         return self.mean.size
 
-    def predict_batch(self, X):
+    def distances(self, X) -> np.ndarray:
+        """(n, N) squared distances from the rows of X to the exemplars.
+
+        Distances ||x - x_i||^2 on normalized coordinates are expanded as
+        |x|^2 + |x_i|^2 - 2 x.x_i, from one matmul over the whole of X, and
+        clamped at 0. The buffer does not depend on sigma, so one serves
+        predict_batch at every kernel width.
+
+        Raises:
+            DimensionMismatchError: X is not (n, n_features).
+            ValueError: X holds a NaN or infinite value.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise DimensionMismatchError(
+                f"expected {self.n_features} features, got shape {X.shape}"
+            )
+        require_finite(X, "query")
+        # An overflow leaves an infinite or NaN distance, which predict_batch
+        # reports as NonFiniteScoreError; numpy need not warn first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            Xn = (X - self.mean) / self.scale
+            E = self.exemplars
+            # Every step works in place on the one (n, N) buffer: a temporary
+            # per step pushes it out of cache and costs more than the
+            # arithmetic. The matmul is not split by rows: BLAS can round a
+            # block of rows differently from the whole.
+            d2 = Xn @ E.T
+            d2 *= -2.0
+            d2 += np.sum(Xn * Xn, axis=1)[:, np.newaxis]
+            d2 += np.sum(E * E, axis=1)
+            np.maximum(d2, 0.0, out=d2)
+        return d2
+
+    def predict_batch(self, X, d2=None):
         """Classify rows of X; returns (labels (n,), posteriors (n, C)).
 
-        Squared distances ||x - x_i||^2 on normalized coordinates are
-        expanded as |x|^2 + |x_i|^2 - 2 x.x_i, clamped at 0 and scored by
-        classify_distances.
+        d2 is distances(X), computed here when not given; it is left
+        unchanged, so one buffer serves every kernel width. Its rows are
+        copied ROW_BLOCK at a time into one scratch block, which
+        classify_distances scores.
 
         Raises:
             DimensionMismatchError: X is not (n, n_features).
@@ -137,28 +177,26 @@ class PnnModel:
                 them; the message names the row and that column.
         """
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise DimensionMismatchError(
-                f"expected {self.n_features} features, got shape {X.shape}"
-            )
-        require_finite(X, "query")
+        if d2 is None:
+            d2 = self.distances(X)
+        n, N = d2.shape
+        labels = np.empty(n, dtype=int)
+        posteriors = np.empty((n, self.n_classes))
+        block = np.empty((min(n, ROW_BLOCK), N))
         # NonFiniteScoreError reports an overflow; numpy need not warn first.
         with np.errstate(over="ignore", invalid="ignore"):
-            Xn = (X - self.mean) / self.scale
-            E = self.exemplars
-            # Every step works in place on the one (n, N) buffer: a temporary
-            # per step pushes it out of cache and costs more than the arithmetic.
-            k = Xn @ E.T
-            k *= -2.0
-            k += np.sum(Xn * Xn, axis=1)[:, np.newaxis]
-            k += np.sum(E * E, axis=1)
-            np.maximum(k, 0.0, out=k)
-            try:
-                return classify_distances(
-                    k, self.sigma, self.counts, self.class_ids, self.n_classes
-                )
-            except NonFiniteScoreError as exc:
-                raise overflow_error(exc.row, Xn[exc.row]) from None
+            for start in range(0, n, ROW_BLOCK):
+                stop = min(n, start + ROW_BLOCK)
+                k = block[: stop - start]
+                np.copyto(k, d2[start:stop])
+                try:
+                    labels[start:stop], posteriors[start:stop] = classify_distances(
+                        k, self.sigma, self.counts, self.class_ids, self.n_classes
+                    )
+                except NonFiniteScoreError as exc:
+                    row = start + exc.row
+                    raise overflow_error(row, (X[row] - self.mean) / self.scale) from None
+        return labels, posteriors
 
 
 def classify_distances(d2, sigma, counts, class_ids, n_classes):
@@ -223,11 +261,19 @@ def check_sigma(sigma) -> float:
 
     Raises:
         NonPositiveSigmaError: sigma is NaN, infinite or <= 0. Such a width
-            would label every query with the smallest class id.
+            would label every query with the smallest class id. Or sigma is
+            so small that the kernel's 1 / (2 sigma^2) is not finite.
     """
     sigma = float(sigma)
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise NonPositiveSigmaError(f"sigma must be finite and > 0, got {sigma}")
+    # 2 sigma^2 underflows to 0 below about 1e-162, and its reciprocal
+    # overflows below about 5e-155; classify_distances computes both.
+    width = 2.0 * sigma * sigma
+    if not (width > 0.0 and np.isfinite(1.0 / width)):
+        raise NonPositiveSigmaError(
+            f"sigma {sigma!r} is too small: 1 / (2 sigma^2) is not finite"
+        )
     return sigma
 
 

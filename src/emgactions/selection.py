@@ -25,6 +25,7 @@ from emgactions.features.registry import BadIndexError, FeatureRegistry
 from emgactions.features.spectral import LMF_COUNT
 from emgactions.metrics import accuracy, confusion_matrix, kappa
 from emgactions.pnn import (
+    ROW_BLOCK,
     NonFiniteScoreError,
     PnnConfig,
     check_sigma,
@@ -65,10 +66,6 @@ class SelectionTrace:
         return len(self.steps)
 
 
-# Test rows the criterion scores at once; they size its two buffers.
-ROW_BLOCK = 128
-
-
 def cv_accuracy_criterion(
     X,
     y,
@@ -100,7 +97,7 @@ def cv_accuracy_criterion(
     candidate fails.
 
     The distances are summed directly as sum_j (x_j - e_j)^2 where
-    PnnModel.predict_batch expands them, and numpy sums a lone column
+    PnnModel.distances expands them, and numpy sums a lone column
     pairwise, so for one index the statistics can differ from kfold_cv's in
     the last bit. A label can therefore differ from kfold_cv's only where
     two class scores tie to rounding, as repeated discrete values can make
@@ -196,7 +193,7 @@ class _Fold:
     def squared_differences(self, c: int, rows, out) -> np.ndarray:
         """(x_c - e_c)^2 for every (row, exemplar) pair, in out.
 
-        Column c is z-scored as PnnModel.predict_batch does; (e - x)^2 is
+        Column c is z-scored as PnnModel.distances does; (e - x)^2 is
         (x - e)^2 bit for bit, and e - x in place spares a numpy buffer.
         """
         mean, scale = self.mean[c], self.scale[c]

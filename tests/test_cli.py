@@ -889,6 +889,10 @@ class TestConfig:
             ("sfs_sigma = -0.3", "sfs_sigma must be a finite number > 0, got '-0.3'"),
             ("sigma_grid = 0.1, inf", "sigma_grid entry must be a finite number > 0, got 'inf'"),
             ("sigma_grid = 0.1; 0", "sigma_grid entry must be a finite number > 0, got '0'"),
+            ("sigma = 1e-200", "sigma must be large enough that 1 / (2 sigma^2) is finite, got '1e-200'"),
+            ("sigma = 1e-160", "sigma must be large enough that 1 / (2 sigma^2) is finite, got '1e-160'"),
+            ("sfs_sigma = 1e-200", "sfs_sigma must be large enough that 1 / (2 sigma^2) is finite, got '1e-200'"),
+            ("sigma_grid = 0.1, 1e-200", "sigma_grid entry must be large enough that 1 / (2 sigma^2) is finite, got '1e-200'"),
             ("pairs = 3-4; 4-3", "channel pair '4-3' repeats '3-4'"),
             ("pairs = 3-4, 1-2, 3-4", "channel pair '3-4' repeats '3-4'"),
             ("pairs = 1-2; 2-2", "channel pair '2-2' joins channel 2 to itself"),
@@ -906,10 +910,19 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "command, line",
-        [("eval", "sigma = nan"), ("eval", "sigma = inf"), ("select", "sfs_sigma = nan")],
+        [
+            ("eval", "sigma = nan"),
+            ("eval", "sigma = inf"),
+            ("select", "sfs_sigma = nan"),
+            ("eval", "sigma = 1e-200"),
+            ("eval", "sigma = 1e-160"),
+            ("eval", "sigma_grid = 0.1, 1e-200"),
+            ("select", "sfs_sigma = 1e-200"),
+        ],
     )
     def test_non_finite_sigma_exits_2(self, workspace, tmp_path, capsys, command, line):
-        # Such a width labels every pattern class 1: a plausible-looking metric.
+        # NaN or inf labels every pattern class 1: a plausible-looking metric.
+        # A width whose 1 / (2 sigma^2) is not finite has no kernel at all.
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{line}\n")
         rc = main([
@@ -921,6 +934,20 @@ class TestConfig:
         assert rc == 2
         assert f"error: {cfg}:1: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, line", [("eval", "sigma = 1e-150"), ("select", "sfs_sigma = 1e-150")]
+    )
+    def test_smallest_computable_sigma_runs(self, workspace, tmp_path, command, line):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(f"cv_folds = 3\nruns = 1\nsfs_folds = 2\nmax_features = 1\n{line}\n")
+        rc = main([
+            command,
+            "--config", str(cfg),
+            "--features", str(workspace["features"]),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
 
     @pytest.mark.parametrize(
         "text, pair",

@@ -1,5 +1,6 @@
 import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from emgactions.crossval import EmptyGridError, select_sigma, stratified_folds
 from emgactions.pnn import (
     DEFAULT_SIGMA_GRID,
     LOG_ZERO,
+    ROW_BLOCK,
     DimensionMismatchError,
     EmptyClassWarning,
     NonFiniteScoreError,
     NonPositiveSigmaError,
     PnnModel,
+    check_sigma,
     classify_distances,
     fit_pnn,
 )
@@ -76,6 +79,22 @@ class TestFit:
         X, y = blobs(n_per_class=3, seed=0)
         with pytest.raises(NonPositiveSigmaError, match=f"sigma must be finite and > 0, got {bad}"):
             fit_pnn(X, y, sigma=bad)
+
+    @pytest.mark.parametrize("tiny", [1e-160, 5.2e-155, 1e-200, 1e-320])
+    def test_too_small_sigma_rejected(self, tiny):
+        # 2 sigma^2 is subnormal or 0, so 1 / (2 sigma^2) is inf or divides by 0.
+        with pytest.raises(NonPositiveSigmaError, match=r"is too small: 1 / \(2 sigma\^2\) is not finite"):
+            check_sigma(tiny)
+        X, y = blobs(n_per_class=3, seed=0)
+        with pytest.raises(NonPositiveSigmaError):
+            fit_pnn(X, y, sigma=tiny)
+        with pytest.raises(NonPositiveSigmaError):
+            select_sigma(X, y, (0.3, tiny), folds=3)
+
+    @pytest.mark.parametrize("small", [5.3e-155, 1e-150])
+    def test_smallest_computable_sigma_accepted(self, small):
+        assert check_sigma(small) == small
+        assert np.isfinite(-1.0 / (2.0 * small * small))
 
     def test_missing_class_warns(self):
         X = np.array([[0.0], [0.1], [5.0], [5.1]])
@@ -217,6 +236,68 @@ class TestPredict:
         Q[3, 0] = bad
         with pytest.raises(ValueError, match=rf"query row 2 column 1 is {bad!r}"):
             model.predict_batch(Q)
+
+
+def shared_distance_case():
+    """A model and 2 * ROW_BLOCK + 44 queries whose kernel values, over the
+    default grid, are normal, subnormal and exactly 0."""
+    rng = np.random.default_rng(20)
+    X, y = blobs(n_per_class=30, n_classes=5, dim=4, spread=1.0, separation=1.0, seed=20)
+    model = fit_pnn(X, y, sigma=DEFAULT_SIGMA_GRID[0])
+    Q = rng.normal(2.0, 2.0, (2 * ROW_BLOCK + 44, 4))
+    return model, Q
+
+
+class TestSharedDistances:
+    def test_shared_buffer_gives_same_bits(self):
+        model, Q = shared_distance_case()
+        d2 = model.distances(Q)
+        kept = d2.copy()
+        bands = np.zeros(3, dtype=int)
+        for sigma in DEFAULT_SIGMA_GRID:
+            m = replace(model, sigma=sigma)
+            want = m.predict_batch(Q)
+            got = m.predict_batch(Q, d2)
+            # The whole buffer at once, as classify_distances scored it
+            # before predict_batch took it a block of rows at a time.
+            whole = classify_distances(d2.copy(), sigma, m.counts, m.class_ids, m.n_classes)
+            for other in (got, whole):
+                assert np.array_equal(other[0], want[0])
+                assert other[1].tobytes() == want[1].tobytes()
+            assert d2.tobytes() == kept.tobytes()
+            bands += exp_bands(d2, sigma)
+        assert np.all(bands > 0), bands  # normal, subnormal and zero all occur
+        # The smallest width takes the underflow mask, the largest does not.
+        for sigma, masked in ((DEFAULT_SIGMA_GRID[0], True), (DEFAULT_SIGMA_GRID[-1], False)):
+            k = d2[:ROW_BLOCK] * (-1.0 / (2.0 * sigma * sigma))
+            k -= k.max(axis=1, keepdims=True)
+            assert (k[::4, ::64].min() < LOG_ZERO) == masked
+
+    def test_distances_match_direct_sum(self):
+        model, Q = shared_distance_case()
+        Qn = (Q - model.mean) / model.scale
+        direct = ((Qn[:, None, :] - model.exemplars[None]) ** 2).sum(axis=2)
+        assert np.allclose(model.distances(Q), direct, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("row", [1, ROW_BLOCK + 3, 2 * ROW_BLOCK + 43])
+    def test_overflow_through_shared_buffer_names_row_and_column(self, row):
+        # std 5e-161 in column 0: a query 1e-3 off it overflows every distance.
+        X = np.array([[0.0, 0.0], [1e-160, 1.0], [0.0, 2.0], [1e-160, 3.0]])
+        y = np.array([1, 1, 2, 2])
+        model = fit_pnn(X, y, sigma=0.5)
+        Q = np.zeros((2 * ROW_BLOCK + 44, 2))
+        Q[:, 1] = 1.5
+        Q[row, 0] = 1e-3
+        with pytest.raises(NonFiniteScoreError) as alone:
+            model.predict_batch(Q)
+        d2 = model.distances(Q)
+        kept = d2.copy()
+        for sigma in (0.5, 1.5):
+            with pytest.raises(NonFiniteScoreError) as shared:
+                replace(model, sigma=sigma).predict_batch(Q, d2)
+            assert (shared.value.row, shared.value.column) == (row, 0)
+            assert str(shared.value) == str(alone.value)
+        assert d2.tobytes() == kept.tobytes()
 
 
 class TestSigmaSelection:
@@ -392,24 +473,34 @@ class TestSigmaSelectionFits:
         sizes = np.bincount(assignment, minlength=folds)
         splits = int(np.sum((sizes > 0) & (sizes < y.size)))
         want = refit_per_sigma(X, y, DEFAULT_SIGMA_GRID, folds, 0)
-        calls = {"fit": 0, "predict": 0}
-        real_fit, real_predict = crossval.fit_pnn, PnnModel.predict_batch
+        calls = {"fit": 0, "distances": 0, "predict": 0}
+        real_fit = crossval.fit_pnn
+        real_distances, real_predict = PnnModel.distances, PnnModel.predict_batch
 
         def counting_fit(*args, **kwargs):
             calls["fit"] += 1
             return real_fit(*args, **kwargs)
+
+        def counting_distances(*args, **kwargs):
+            calls["distances"] += 1
+            return real_distances(*args, **kwargs)
 
         def counting_predict(*args, **kwargs):
             calls["predict"] += 1
             return real_predict(*args, **kwargs)
 
         monkeypatch.setattr(crossval, "fit_pnn", counting_fit)
+        monkeypatch.setattr(PnnModel, "distances", counting_distances)
         monkeypatch.setattr(PnnModel, "predict_batch", counting_predict)
         with warnings.catch_warnings():
             warnings.simplefilter("error", EmptyClassWarning)  # silenced inside
             got = select_sigma(X, y, DEFAULT_SIGMA_GRID, folds=folds, seed=0)
         assert got == want
-        assert calls == {"fit": splits, "predict": splits * len(DEFAULT_SIGMA_GRID)}
+        assert calls == {
+            "fit": splits,
+            "distances": splits,
+            "predict": splits * len(DEFAULT_SIGMA_GRID),
+        }
 
     def test_tie_case_ties(self):
         _, X, y, folds = next(sigma_cases())
