@@ -258,8 +258,8 @@ class TestSharedDistances:
             m = replace(model, sigma=sigma)
             want = m.predict_batch(Q)
             got = m.predict_batch(Q, d2)
-            # The whole buffer at once, as classify_distances scored it
-            # before predict_batch took it a block of rows at a time.
+            # The kernel on the whole buffer at once: taking it a block of
+            # rows at a time must not move a bit.
             whole = classify_distances(d2.copy(), sigma, m.counts, m.class_ids, m.n_classes)
             for other in (got, whole):
                 assert np.array_equal(other[0], want[0])
