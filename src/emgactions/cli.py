@@ -33,7 +33,7 @@ if "numpy" not in sys.modules and not any(var in os.environ for var in _BLAS_THR
 import numpy as np
 
 from emgactions.crossval import map_chunks, monte_carlo
-from emgactions.dataset import load_dataset, read_lines, read_manifest, scan_action_tree
+from emgactions.dataset import load_dataset, parse_int, read_lines, read_manifest, scan_action_tree
 from emgactions.experiment import ExperimentConfig, _integer, read_config
 from emgactions.features.assemble import extract_feature_matrix, registry_for
 from emgactions.features.export import (
@@ -57,7 +57,7 @@ def _load_config(args) -> ExperimentConfig:
     cfg = read_config(args.config) if args.config else ExperimentConfig()
     if getattr(args, "seed", None) is not None:
         try:
-            cfg = replace(cfg, seed=_integer("seed", str(args.seed)))
+            cfg = replace(cfg, seed=_integer("seed", args.seed))
         except ValueError as exc:
             raise ValueError(f"--seed: {exc}") from None
     if getattr(args, "out", None) is not None:
@@ -86,12 +86,11 @@ def _parse_selected(spec: str | None, n_features: int, registry) -> tuple:
     lines = {}  # index -> the line it first appears on
     for line, value in cells:
         where = "" if line is None else f"{spec}:{line}: "
-        try:
-            idx = int(value)
-        except ValueError:
+        idx = parse_int(value)
+        if idx is None:
             if line is None:
-                raise ValueError(f"cannot parse --selected value {spec!r}") from None
-            raise ValueError(f"{where}feature index {value!r} is not an integer") from None
+                raise ValueError(f"cannot parse --selected value {spec!r}")
+            raise ValueError(f"{where}feature index {value!r} is not an integer")
         if not 1 <= idx <= n_features:
             raise BadIndexError(f"{where}feature index {idx} outside 1..{n_features}")
         if idx in lines:
@@ -339,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, features=True, selected=False):
         p.add_argument("--config", help="flat key-value config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--seed", help="override the config seed")
         p.add_argument("--out", help="output directory (default from config)")
         if features:
             p.add_argument("--features", required=True, help="feature matrix CSV")

@@ -109,7 +109,7 @@ def kfold_assignment(y, k: int, seed: int) -> np.ndarray:
     """stratified_folds for a k-fold evaluation, which tests every sample once.
 
     Raises:
-        ValueError: k < 2.
+        ValueError: k < 2, or every sample has one label.
         TooFewSamplesError: some class has fewer than k samples, so some
             fold would lack it.
     """
@@ -117,6 +117,8 @@ def kfold_assignment(y, k: int, seed: int) -> np.ndarray:
     if k < 2:
         raise ValueError("k must be >= 2")
     ids, counts = np.unique(y, return_counts=True)
+    if ids.size == 1:
+        raise ValueError(f"every sample has label {ids[0]}; classification needs two classes")
     if counts.min() < k:
         lacking = ids[counts.argmin()]
         raise TooFewSamplesError(

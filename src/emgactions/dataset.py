@@ -17,6 +17,7 @@ scanning the unpacked directory tree.
 from __future__ import annotations
 
 import os
+import re
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -163,6 +164,12 @@ def read_key_values(path: str):
         yield line_no, key, value
 
 
+def parse_int(text: str) -> int | None:
+    """The integer that text spells as an optional sign and ASCII digits 0-9
+    amid ASCII whitespace; None for other text, such as '1_000' or '1.0'."""
+    return int(text) if re.fullmatch(r"\s*[+-]?[0-9]+\s*", text, re.ASCII) else None
+
+
 def not_utf8_error(path: str) -> ValueError:
     """The error naming path and the line of its first byte that is not UTF-8.
 
@@ -182,10 +189,9 @@ def not_utf8_error(path: str) -> ValueError:
 def parse_recording(text, expected_channels: int) -> np.ndarray:
     """Parse a whitespace-delimited numeric recording.
 
-    The whole input is read with one bulk numpy parse, as 64-bit integers
-    first and as floats when that fails. Only when both fail, or the result
-    is empty, has the wrong column count or holds a non-finite value, is
-    the input parsed again line by line to report the offending line.
+    One bulk numpy parse, as 64-bit integers first and as floats when that
+    fails, reads the whole input and alone decides what text is valid. The
+    lines are parsed one at a time only to name the first bad one.
 
     Args:
         text: a string or an iterable of lines.
@@ -199,6 +205,7 @@ def parse_recording(text, expected_channels: int) -> np.ndarray:
         MalformedLineError: wrong field count, or a field that is not a
             finite number. Line numbers are 1-based over all physical lines.
         EmptyRecordingError: no data lines at all.
+        ValueError: the bulk parse failed, but no line fails alone.
     """
     if expected_channels < 1:
         raise ValueError("expected_channels must be >= 1")
@@ -211,13 +218,10 @@ def parse_recording(text, expected_channels: int) -> np.ndarray:
                 samples = np.loadtxt(lines, comments=None, ndmin=2)
             except ValueError:
                 pass
-    if (
-        samples is None
-        or samples.shape[0] == 0
-        or samples.shape[1] != expected_channels
-        or not np.isfinite(samples).all()
-    ):
-        samples = _parse_lines(lines, expected_channels)
+    if samples is not None and samples.size == 0:
+        raise EmptyRecordingError("no data lines in recording")
+    if samples is None or samples.shape[1] != expected_channels or not np.isfinite(samples).all():
+        raise _bad_line(lines, expected_channels)
     return samples
 
 
@@ -238,29 +242,24 @@ def _parse_integers(lines):
         return None
 
 
-def _parse_lines(lines, expected_channels: int) -> np.ndarray:
-    # The reference parser: slow, but it names the first bad line.
-    rows = []
+def _bad_line(lines, expected_channels: int) -> ValueError:
+    # The error naming the first line that fails the bulk float parse alone;
+    # the int64 parse reads no text that the float parse does not.
     for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
+        fields = line.split()
+        if not fields:
             continue
-        fields = stripped.split()
         if len(fields) != expected_channels:
-            raise MalformedLineError(
-                line_no,
-                f"expected {expected_channels} fields, got {len(fields)}",
+            return MalformedLineError(
+                line_no, f"expected {expected_channels} fields, got {len(fields)}"
             )
         try:
-            row = [float(f) for f in fields]
+            row = np.loadtxt([line], comments=None, ndmin=2)
         except ValueError:
-            raise MalformedLineError(line_no, f"non-numeric field in {fields!r}") from None
-        if not all(np.isfinite(row)):
-            raise MalformedLineError(line_no, "non-finite value")
-        rows.append(row)
-    if not rows:
-        raise EmptyRecordingError("no data lines in recording")
-    return np.array(rows, dtype=float)
+            return MalformedLineError(line_no, f"non-numeric field in {fields!r}")
+        if not np.isfinite(row).all():
+            return MalformedLineError(line_no, "non-finite value")
+    return ValueError("the lines do not parse together, though each parses alone")
 
 
 def split_trials(samples, trials: int) -> np.ndarray:
@@ -313,13 +312,15 @@ def read_manifest(path: str) -> DatasetManifest:
     * ``trials``: trials per recording file (default 15).
     * ``channels``: channel count (default 8).
     * ``entry``: repeated; value is ``<relative-path> <subject_id> <label>``.
-      The path may contain spaces; the last two fields are the ids.
+      The path may contain spaces; the last two fields are the ids, written
+      as parse_int reads integers. No two entries may name the same file.
 
     Raises:
         MissingFileError: manifest file absent.
         ValueError: malformed line, unknown key, a ``trials`` or
             ``channels`` value that is not an integer >= 1, an entry id
-            that is not a nonnegative integer, or a byte that is not UTF-8;
+            that is not a nonnegative integer, two entries whose paths
+            resolve to the same real path, or a byte that is not UTF-8;
             the message starts with ``path:line``.
     """
     if not os.path.isfile(path):
@@ -327,23 +328,29 @@ def read_manifest(path: str) -> DatasetManifest:
     base = os.path.dirname(os.path.abspath(path))
     root = base
     counts = {"trials": 15, "channels": 8}
-    entries: list[ManifestEntry] = []
+    entries: list[tuple] = []  # (line, ManifestEntry)
     for line_no, key, value in read_key_values(path):
         where = f"{path}:{line_no}"
         if key == "root":
             root = value if os.path.isabs(value) else os.path.join(base, value)
         elif key in counts:
-            if not value.isdecimal() or int(value) < 1:
+            counts[key] = parse_int(value) or 0
+            if counts[key] < 1:
                 raise ValueError(f"{where}: {key} must be an integer >= 1, got {value!r}")
-            counts[key] = int(value)
         elif key == "entry":
             parts = value.rsplit(None, 2)
-            if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
+            ids = [parse_int(part) for part in parts[1:]]
+            if len(parts) != 3 or None in ids or min(ids) < 0:
                 raise ValueError(f"{where}: entry needs '<path> <int subject> <int label>'")
-            entries.append(ManifestEntry(parts[0], int(parts[1]), int(parts[2])))
+            entries.append((line_no, ManifestEntry(parts[0], *ids)))
         else:
             raise ValueError(f"{where}: unknown key {key!r}")
-    return DatasetManifest(root, entries, counts["trials"], counts["channels"])
+    first = {}  # real path -> line of the entry naming it first; the root may come last
+    for line_no, entry in entries:
+        seen = first.setdefault(os.path.realpath(os.path.join(root, entry.path)), line_no)
+        if seen != line_no:
+            raise ValueError(f"{path}:{line_no}: entry {entry.path!r} names line {seen}'s file")
+    return DatasetManifest(root, [e for _, e in entries], counts["trials"], counts["channels"])
 
 
 def load_dataset(manifest: DatasetManifest) -> Iterator[Recording]:
@@ -383,12 +390,13 @@ def _read_recordings(manifest: DatasetManifest, paths: list) -> Iterator[Recordi
 
 
 def _read_trials(full: str, manifest: DatasetManifest) -> np.ndarray:
+    lines = read_lines(full)
     try:
-        samples = parse_recording(read_lines(full), manifest.channels)
+        samples = parse_recording(lines, manifest.channels)
         return split_trials(samples, manifest.trials_per_file)
     except MalformedLineError as exc:
         raise MalformedLineError(exc.line_no, exc.message, full) from None
-    except (EmptyRecordingError, TooShortError) as exc:
+    except ValueError as exc:
         exc.args = (f"{full}: {exc}",)
         raise
 

@@ -6,7 +6,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
 
-from emgactions.dataset import read_key_values
+from emgactions.dataset import parse_int, read_key_values
 from emgactions.features.assemble import FeatureConfig
 from emgactions.pnn import NonPositiveSigmaError, PnnConfig, check_sigma
 
@@ -55,10 +55,10 @@ def _parse_pairs(value: str) -> tuple:
         part = part.strip()
         if not part:
             continue
-        bits = part.split("-")
-        if len(bits) != 2 or not all(b.strip().isdecimal() for b in bits):
+        ends = [parse_int(b) for b in part.split("-")]
+        if len(ends) != 2 or None in ends:
             raise ValueError(f"bad channel pair {part!r}, expected 'i-j'")
-        i, j = int(bits[0]), int(bits[1])
+        i, j = ends
         if i == j:
             raise ValueError(f"channel pair {part!r} joins channel {i} to itself")
         key = frozenset((i, j))
@@ -118,10 +118,7 @@ _INT_KEYS = {
 
 def _integer(key: str, value: str) -> int:
     low = _INT_KEYS[key]
-    try:
-        number = int(value)
-    except ValueError:
-        number = None
+    number = parse_int(value)
     if number is None or (low is not None and number < low):
         bound = "" if low is None else f" >= {low}"
         raise ValueError(f"{key} must be an integer{bound}, got {value!r}")
@@ -140,7 +137,8 @@ def read_config(path: str) -> ExperimentConfig:
     different channels in 1..``channels``, and no pair repeats in either
     order. ``n_bands`` divides ``psd_grid``, a numeric ``window`` holds
     more than ``ar_order`` samples and at least ``lbp_window``, and
-    ``lbp_threshold`` lies in 0..2**``lbp_window`` - 2.
+    ``lbp_threshold`` lies in 0..2**``lbp_window`` - 2. Integers are
+    written as dataset.parse_int reads them.
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(f"config not found: {path}")

@@ -36,9 +36,10 @@ def write_feature_csv(path: str, X, y, subjects, trials, registry: FeatureRegist
 def read_feature_csv(path: str):
     """Read a matrix written by write_feature_csv.
 
-    The data rows are parsed by one bulk numpy parse. Only when that fails,
-    finds no row, or yields a NaN or infinite value or a label below 1 is
-    the file read again row by row, to name the offending line and cell.
+    The data rows are parsed by one bulk numpy parse, which alone decides
+    what text is valid. When it fails, or yields a NaN or infinite value or
+    a label below 1, each line, then each cell of the first line that
+    fails, goes through the same parse alone, only to name them.
 
     Returns:
         (X, y, subjects, trials, names) with names covering the feature
@@ -52,29 +53,29 @@ def read_feature_csv(path: str):
             message names the file and line, and the column of a bad cell.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = _read_header(csv.reader(fh), path)
-        names = header[:-3]
-        dtype = np.dtype([("X", float, (len(names),))] + [(c, int) for c in META_COLUMNS])
+        reader = csv.reader(fh)
+        header = _read_header(reader, path)
+        dtype = np.dtype([("X", float, (len(header) - 3,))] + [(c, int) for c in META_COLUMNS])
         try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                # Older numpy parses an integer field such as '1.0' with only
-                # a DeprecationWarning; the row reader rejects it.
-                warnings.simplefilter("error", DeprecationWarning)
-                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            rows = _parse(fh, dtype)
         except (ValueError, DeprecationWarning):
-            # A UnicodeDecodeError is a ValueError: the row reader names it.
+            # A UnicodeDecodeError is a ValueError: the locator names it.
             rows = None
-    parsed = rows is not None and rows.size > 0 and rows["label"].min() >= 1
-    if not (parsed and np.isfinite(rows["X"]).all()):
-        return _read_lines(path)
-    return (
-        np.ascontiguousarray(rows["X"]),
-        rows["label"].copy(),
-        rows["subject_id"].copy(),
-        rows["trial_index"].copy(),
-        names,
-    )
+    if rows is not None and rows.size == 0:
+        raise ValueError(f"{path}: no data rows")
+    if rows is None or rows["label"].min() < 1 or not np.isfinite(rows["X"]).all():
+        raise _bad_row(path, header, reader.line_num, dtype)
+    meta = [rows[c].copy() for c in ("label", "subject_id", "trial_index")]
+    return (np.ascontiguousarray(rows["X"]), *meta, header[:-3])
+
+
+def _parse(lines, dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        # Older numpy parses an integer field such as '1.0' with only a
+        # DeprecationWarning; it counts as a failed parse.
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
 def _read_header(reader, path: str) -> list:
@@ -89,54 +90,44 @@ def _read_header(reader, path: str) -> list:
     return header
 
 
-def _read_lines(path: str):
-    # The reference reader: slow, but it names the first bad line and cell.
-    reader = csv.reader(read_lines(path))
-    header = _read_header(reader, path)
-    names = header[:-3]
-    rows, labels, subjects, trials, line_nos = [], [], [], [], []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ValueError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
+def _bad_row(path: str, header, start: int, dtype) -> ValueError:
+    """The error naming the first data line, after the header's start lines,
+    that fails the bulk parse alone or breaks a rule on its values."""
+    for line_no, line in enumerate(read_lines(path)[start:], start=start + 1):
+        where = f"{path}:{line_no}"
         try:
-            rows.append([float(v) for v in row[:-3]])
-            subjects.append(int(row[-3]))
-            trials.append(int(row[-2]))
-            labels.append(int(row[-1]))
-        except ValueError:
-            raise _cell_error(f"{path}:{line_no}", header, row) from None
-        if labels[-1] < 1:
-            raise ValueError(f"{path}:{line_no}: label {labels[-1]} in column 'label' is below 1")
-        line_nos.append(line_no)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    X = np.array(rows, dtype=float)
-    finite = np.isfinite(X)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        raise ValueError(
-            f"{path}:{line_nos[r]}: non-finite value {float(X[r, c])!r} in column {names[c]!r}"
-        )
-    return (
-        X,
-        np.array(labels, dtype=int),
-        np.array(subjects, dtype=int),
-        np.array(trials, dtype=int),
-        names,
-    )
+            row = _parse([line], dtype)
+        except (ValueError, DeprecationWarning):
+            return _cell_error(where, header, line)
+        if row.size == 0:  # a blank line
+            continue
+        label = row["label"][0]
+        if label < 1:
+            return ValueError(f"{where}: label {label} in column 'label' is below 1")
+        X = row["X"][0]
+        finite = np.isfinite(X)
+        if not finite.all():
+            c = int(np.argmin(finite))
+            return ValueError(f"{where}: non-finite value {float(X[c])!r} in column {header[c]!r}")
+    return ValueError(f"{path}: the data rows do not parse together, though each parses alone")
 
 
-def _cell_error(where: str, header, row) -> ValueError:
-    """The error naming the first cell of row that does not parse."""
-    for col, (name, value) in enumerate(zip(header, row)):
+def _cell_error(where: str, header, line: str) -> ValueError:
+    """The error naming the first cell of line that fails the parse alone."""
+    cells = line.rstrip("\n").split(",")
+    if len(cells) != len(header):
+        return ValueError(f"{where}: expected {len(header)} fields, got {len(cells)}")
+    for col, (name, cell) in enumerate(zip(header, cells)):
         integer = col >= len(header) - len(META_COLUMNS)
         try:
-            int(value) if integer else float(value)
-        except ValueError:
+            # A lone empty cell parses to no value rather than failing.
+            parsed = _parse([cell], int if integer else float).size == 1
+        except (ValueError, DeprecationWarning):
+            parsed = False
+        if not parsed:
             kind = "integer" if integer else "numeric"
-            return ValueError(f"{where}: non-{kind} value {value!r} in column {name!r}")
+            return ValueError(f"{where}: non-{kind} value {cell!r} in column {name!r}")
+    return ValueError(f"{where}: the row does not parse, though each of its cells does")
 
 
 def write_registry_csv(path: str, registry: FeatureRegistry) -> None:

@@ -483,8 +483,9 @@ class TestEval:
             ("step,index,name\n", ": no feature index in the selection file"),
             ("\n", ": no feature index in the selection file"),
             ("1\n300\n", ":2: feature index 300 outside 1..276"),
+            ("step,index\n1,+2\n2,2_0\n", ":3: feature index '2_0' is not an integer"),
         ],
-        ids=["short_row", "bad_cell", "header_only", "empty", "out_of_range"],
+        ids=["short_row", "bad_cell", "header_only", "empty", "out_of_range", "underscore"],
     )
     def test_bad_selected_file_names_line(self, workspace, tmp_path, capsys, text, message):
         sel = tmp_path / "subset.csv"
@@ -492,6 +493,36 @@ class TestEval:
         assert self.run_eval(workspace, tmp_path / "eval", ("--selected", str(sel))) == 2
         assert f"error: {sel}{message}" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("spec", ["\uff11,2_0", "1_0", "\u0661"])
+    def test_selected_list_takes_ascii_integers(self, workspace, tmp_path, capsys, spec):
+        assert self.run_eval(workspace, tmp_path / "eval", ("--selected", spec)) == 2
+        assert f"error: cannot parse --selected value {spec!r}" in capsys.readouterr().err
+
+    def test_seed_flag_takes_ascii_integers(self, workspace, tmp_path, capsys):
+        assert self.run_eval(workspace, tmp_path / "eval", ("--seed", "1_000")) == 2
+        assert "error: --seed: seed must be an integer >= 0, got '1_000'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "select", "relevance", "ablate"])
+    def test_one_class_exits_2(self, workspace, tmp_path, capsys, command):
+        # Were it scored, one class would give alpha 1.0 and kappa 1.0.
+        rows = rows_of(workspace["features"])
+        for row in rows[1:]:
+            row[-1] = "2"
+        one = tmp_path / "features.csv"
+        with open(one, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        rc = main([
+            command,
+            "--config", str(workspace["config"]),
+            "--features", str(one),
+            *(() if command == "select" else ("--selected", "reference")),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        message = "error: every sample has label 2; classification needs two classes\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
 
     def test_out_of_range_index(self, workspace, tmp_path, capsys):
         assert self.run_eval(workspace, tmp_path, ("--selected", "300")) == 2
@@ -897,6 +928,10 @@ class TestConfig:
             ("pairs = 3-4, 1-2, 3-4", "channel pair '3-4' repeats '3-4'"),
             ("pairs = 1-2; 2-2", "channel pair '2-2' joins channel 2 to itself"),
             ("pairs = 1-2; 1-x", "bad channel pair '1-x', expected 'i-j'"),
+            ("seed = 1_000", "seed must be an integer >= 0, got '1_000'"),
+            ("runs = \u0661", "runs must be an integer >= 1, got '\u0661'"),
+            ("cv_folds = \uff13", "cv_folds must be an integer >= 2, got '\uff13'"),
+            ("pairs = \u0661-\u0662", "bad channel pair '\u0661-\u0662', expected 'i-j'"),
         ],
     )
     def test_bad_value_names_line(self, tmp_path, line, message):
@@ -1081,3 +1116,100 @@ class TestConfig:
             lbp_window=5, lbp_threshold=20, pairs=["1-2", "5-8"], runs=4,
         )
         assert parsed.to_dict() == flat
+
+
+def _mutate(text: str, mutation: str) -> str:
+    """text with one mutation: a token in place of the second field of its
+    fourth line, or a rewrite that keeps every value."""
+    lines = text.split("\n")
+    sep = "," if "," in lines[0] else " "
+    if mutation == "crlf":
+        return "\r\n".join(lines)
+    if mutation == "blank_lines":
+        return "\n\n".join(lines)
+    fields = lines[3].split(sep)
+    if mutation == "leading_space":
+        fields[1] = " " + fields[1]
+    elif mutation == "leading_zero":  # after any sign; a features.csv label
+        signed = fields[-1][0] in "+-"
+        fields[-1] = fields[-1][:signed] + "0" + fields[-1][signed:]
+    elif mutation == "quoted":
+        fields[1] = f'"{fields[1]}"'
+    else:
+        fields[1] = mutation
+    lines[3] = sep.join(fields)
+    return "\n".join(lines)
+
+
+REJECTED = ["1_000", "\u0661\u0662", "\uff17", "quoted"]
+KEPT = ["crlf", "blank_lines", "leading_space", "leading_zero"]
+
+
+class TestMutatedRecording:
+    """extract on a recording with one mutation: numpy's bulk parse decides."""
+
+    def extract(self, tmp_path, text):
+        tmp_path.mkdir(exist_ok=True)
+        rec = tmp_path / "rec.txt"
+        rec.write_bytes(text.encode("utf-8"))
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("trials = 3\nentry = rec.txt 1 1\n")
+        out = tmp_path / "out"
+        rc = main(["extract", "--manifest", str(manifest), "--out", str(out)])
+        files = [out / "features.csv", out / "registry.csv"]
+        return rc, rec, [f.read_bytes() for f in files if f.exists()]
+
+    @pytest.mark.parametrize("mutation", REJECTED)
+    def test_rejected_naming_the_line(self, workspace, tmp_path, capsys, mutation):
+        text = (workspace["data"] / "sub1" / "Bowing.txt").read_text()
+        rc, rec, outputs = self.extract(tmp_path, _mutate(text, mutation))
+        assert rc == 2
+        assert f"error: {rec}: line 4: non-numeric field in [" in capsys.readouterr().err
+        assert outputs == []
+
+    @pytest.mark.parametrize("mutation", KEPT)
+    def test_kept_byte_identical(self, workspace, tmp_path, mutation):
+        text = (workspace["data"] / "sub1" / "Bowing.txt").read_text()
+        assert _mutate(text, mutation) != text
+        rc, _, outputs = self.extract(tmp_path / "mutated", _mutate(text, mutation))
+        assert rc == 0
+        assert outputs == self.extract(tmp_path / "plain", text)[2]
+
+
+class TestMutatedFeatures:
+    """eval on a features.csv with one mutation: numpy's bulk parse decides."""
+
+    def eval(self, workspace, tmp_path, text, name="features.csv"):
+        # report.json records the output directory, so every run writes to one.
+        features = tmp_path / name
+        features.write_bytes(text.encode("utf-8"))
+        out = tmp_path / "out"
+        rc = main([
+            "eval",
+            "--config", str(workspace["config"]),
+            "--features", str(features),
+            "--selected", "1,2,3",
+            "--out", str(out),
+        ])
+        files = [out / "report.json", out / "confusion.csv"]
+        return rc, features, [f.read_bytes() for f in files if f.exists()]
+
+    @pytest.mark.parametrize("mutation", REJECTED)
+    def test_rejected_naming_line_and_column(self, workspace, tmp_path, capsys, mutation):
+        text = workspace["features"].read_text()
+        rc, features, outputs = self.eval(workspace, tmp_path, _mutate(text, mutation))
+        assert rc == 2
+        name = rows_of(workspace["features"])[0][1]
+        cell = _mutate(text, mutation).split("\n")[3].split(",")[1]
+        message = f"error: {features}:4: non-numeric value {cell!r} in column {name!r}\n"
+        assert capsys.readouterr().err == message
+        assert outputs == []
+
+    @pytest.mark.parametrize("mutation", KEPT)
+    def test_kept_byte_identical(self, workspace, tmp_path, mutation):
+        text = workspace["features"].read_text()
+        assert _mutate(text, mutation) != text
+        plain = self.eval(workspace, tmp_path, text, "plain.csv")
+        rc, _, outputs = self.eval(workspace, tmp_path, _mutate(text, mutation))
+        assert rc == 0
+        assert outputs == plain[2]

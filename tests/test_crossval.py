@@ -82,6 +82,17 @@ class TestFoldSplits:
 
 
 class TestKfold:
+    @pytest.mark.parametrize("label", [1, 3])
+    def test_one_class_is_rejected(self, label):
+        # One class would score alpha 1 and kappa 1 whatever the features.
+        X, _ = blobs(n_per_class=6, n_classes=2, seed=1)
+        y = np.full(12, label)
+        message = f"every sample has label {label}; classification needs two classes"
+        with pytest.raises(ValueError, match=message):
+            kfold_assignment(y, 3, 0)
+        with pytest.raises(ValueError, match=message):
+            kfold_cv(X, y, k=3, config=FIXED, seed=0)
+
     def test_separable_data_scores_perfectly(self):
         X, y = blobs(n_per_class=20, n_classes=3, seed=1)
         report = kfold_cv(X, y, k=10, config=FIXED, seed=0)

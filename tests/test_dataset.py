@@ -20,6 +20,7 @@ from emgactions.dataset import (
     MissingFileError,
     TooShortError,
     load_dataset,
+    parse_int,
     parse_recording,
     read_manifest,
     scan_action_tree,
@@ -93,7 +94,9 @@ def test_parse_rejects_non_finite_values():
 
 @pytest.mark.parametrize(
     "bad",
-    ["1 2 3", "1", "1 nan", "inf 2", "1 -inf", "1 x", "# comment", "1 2 # note"],
+    ["1 2 3", "1", "1 nan", "inf 2", "1 -inf", "1 x", "# comment", "1 2 # note"]
+    # Python's float() reads the first three; numpy's parse reads none.
+    + ["1 1_000", "\u0661\u0662 2", "1 \uff17", '"1" 2', "0x10 2", "1,5 2"],
 )
 def test_parse_error_names_the_bad_line(bad):
     with pytest.raises(MalformedLineError) as exc:
@@ -118,15 +121,15 @@ def _integer_or_repr(v):
     st.sampled_from([repr, _integer_or_repr, "{:.6e}".format]),
     st.booleans(),
 )
-def test_bulk_parse_equals_line_parser(data, sep, fmt, blank_lines):
+def test_bulk_parse_gives_the_written_values(data, sep, fmt, blank_lines):
     lines = [sep.join(fmt(float(v)) for v in row) for row in data]
     if blank_lines:
         lines = [x for line in lines for x in (line, "  ")]
-    slow = dataset._parse_lines(lines, data.shape[1])
-    with mock.patch.object(dataset, "_parse_lines", side_effect=AssertionError("fell back")):
-        fast = parse_recording("\n".join(lines) + "\n", data.shape[1])
-    assert np.array_equal(fast, slow)
-    assert np.array_equal(slow, [[float(fmt(float(v))) for v in row] for row in data])
+    with mock.patch.object(dataset, "_bad_line", side_effect=AssertionError("located")):
+        samples = parse_recording("\n".join(lines) + "\n", data.shape[1])
+    written = np.array([[float(fmt(float(v))) for v in row] for row in data])
+    assert samples.dtype == float and samples.flags["C_CONTIGUOUS"]
+    assert np.array_equal(samples.view(np.int64), written.view(np.int64))  # bit for bit, -0.0 too
 
 
 def _float_parse(lines):
@@ -152,7 +155,7 @@ def _float_parse(lines):
 def test_integer_parse_gives_the_float_parse(lines, as_integers):
     expected = _float_parse(lines)
     assert (dataset._parse_integers(lines) is not None) == as_integers
-    with mock.patch.object(dataset, "_parse_lines", side_effect=AssertionError("fell back")):
+    with mock.patch.object(dataset, "_bad_line", side_effect=AssertionError("located")):
         samples = parse_recording(lines, 3)
     assert np.array_equal(samples, expected)
     assert np.array_equal(np.signbit(samples), np.signbit(expected))
@@ -171,6 +174,34 @@ def test_integer_parse_refuses_a_truncating_numpy():
 
     with mock.patch.object(np, "loadtxt", truncating):
         assert np.array_equal(parse_recording(["1.5 2"], 2), [[1.5, 2.0]])
+
+
+def test_bulk_failure_with_no_failing_line_is_an_error(tmp_path):
+    # Should the bulk parse fail where no single line does, the recording is
+    # refused by its path rather than read some other way.
+    loadtxt = np.loadtxt
+
+    def whole_input_fails(lines, *args, **kwargs):
+        if len(lines) > 1:
+            raise ValueError("refused")
+        return loadtxt(lines, *args, **kwargs)
+
+    path = tmp_path / "rec.txt"
+    path.write_text("1 2\n3 4\n")
+    manifest = DatasetManifest(str(tmp_path), [ManifestEntry("rec.txt", 1, 1)], trials_per_file=1, channels=2)
+    with mock.patch.object(np, "loadtxt", whole_input_fails):
+        with pytest.raises(ValueError) as exc:
+            list(load_dataset(manifest))
+    assert str(exc.value) == f"{path}: the lines do not parse together, though each parses alone"
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("7", 7), ("+7", 7), ("-7", -7), ("007", 7), (" 12\t", 12), ("-0", 0)]
+    + [(t, None) for t in ["", "+", "1_000", "\u0661", "\uff11", "1.0", "1e3", "0x10", "1 2", "--1"]],
+)
+def test_parse_int_takes_a_sign_and_ascii_digits(text, value):
+    assert parse_int(text) == value
 
 
 def test_parse_empty_stream():
@@ -424,6 +455,10 @@ def test_load_dataset_recording_error_names_file(tmp_path, text, error, message)
         ("entry = a.txt 1 x", "entry needs '<path> <int subject> <int label>'"),
         ("entry = a.txt 1 -2", "entry needs '<path> <int subject> <int label>'"),
         ("entry = a.txt 1", "entry needs '<path> <int subject> <int label>'"),
+        ("trials = \u0661\u0665", "trials must be an integer >= 1, got '\u0661\u0665'"),
+        ("channels = 1_0", "channels must be an integer >= 1, got '1_0'"),
+        ("entry = a.txt \u0661 1", "entry needs '<path> <int subject> <int label>'"),
+        ("entry = a.txt 1 \uff17", "entry needs '<path> <int subject> <int label>'"),
     ],
 )
 def test_read_manifest_bad_value_names_line(tmp_path, line, message):
@@ -432,6 +467,26 @@ def test_read_manifest_bad_value_names_line(tmp_path, line, message):
     with pytest.raises(ValueError) as exc:
         read_manifest(str(path))
     assert str(exc.value) == f"{path}:2: {message}"
+
+
+def test_read_manifest_integers_take_a_sign_and_ascii_digits(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("trials = +15\nchannels = 08\nentry = a.txt 01 +2\n")
+    manifest = read_manifest(str(path))
+    assert (manifest.trials_per_file, manifest.channels) == (15, 8)
+    assert [(e.subject_id, e.action_label) for e in manifest.entries] == [(1, 2)]
+
+
+@pytest.mark.parametrize("twin", ["./x.txt", "sub/../x.txt", "link.txt"])
+def test_read_manifest_rejects_two_entries_for_one_file(tmp_path, twin):
+    # The same recording under two subjects would count every pattern twice.
+    (tmp_path / "sub").mkdir()
+    os.symlink("x.txt", tmp_path / "link.txt")
+    path = tmp_path / "m.txt"
+    path.write_text(f"entry = x.txt 1 1\n# comment\nentry = {twin} 2 1\nroot = .\n")
+    with pytest.raises(ValueError) as exc:
+        read_manifest(str(path))
+    assert str(exc.value) == f"{path}:3: entry {twin!r} names line 1's file"
 
 
 def test_manifest_duplicate_entries_rejected():

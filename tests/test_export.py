@@ -37,22 +37,23 @@ def _integer_or_repr(v):
     st.booleans(),
     st.integers(0, 2**31),
 )
-def test_bulk_read_equals_row_reader(tmp_path_factory, X, fmt, blank_lines, seed):
+def test_bulk_read_gives_the_written_values(tmp_path_factory, X, fmt, blank_lines, seed):
     rng = np.random.default_rng(seed)
     meta = rng.integers(1, 1000, (X.shape[0], 3))
     path = tmp_path_factory.mktemp("csv") / "features.csv"
     names = [f"f{j}" for j in range(X.shape[1])]
     write_rows(path, names, [[fmt(float(v)) for v in x] + list(m) for x, m in zip(X, meta)], blank_lines)
-    slow = export._read_lines(str(path))
-    with mock.patch.object(export, "_read_lines", side_effect=AssertionError("fell back")):
-        fast = read_feature_csv(str(path))
-    for a, b in zip(fast[:4], slow[:4]):
+    with mock.patch.object(export, "_bad_row", side_effect=AssertionError("located")):
+        read = read_feature_csv(str(path))
+    written = [
+        np.array([[float(fmt(float(v))) for v in x] for x in X]),
+        *meta[:, [2, 0, 1]].T.astype(int),
+    ]
+    for a, b in zip(read[:4], written):
         assert a.dtype == b.dtype
         assert a.flags["C_CONTIGUOUS"]
         assert np.array_equal(a.view(np.int64), b.view(np.int64))  # bit for bit, -0.0 too
-    assert fast[4] == slow[4] == names
-    assert np.array_equal(slow[0], [[float(fmt(float(v))) for v in x] for x in X])
-    assert np.array_equal(slow[1:4], meta[:, [2, 0, 1]].T)
+    assert read[4] == names
 
 
 def write_reference(path, X, y, subjects, trials, names):
@@ -97,6 +98,13 @@ def test_writer_bytes_equal_csv_writer(tmp_path_factory, X, seed):
         (["0.5", "1", "2", "1"], "expected 5 fields, got 4"),
         (["0.5", "1.5", "1", "2", "0"], "label 0 in column 'label' is below 1"),
         (["0.5", "1.5", "1", "2", "-2"], "label -2 in column 'label' is below 1"),
+        # Python's float() and int() read the first three; numpy's parse
+        # reads none of them.
+        (["1_000", "1.5", "1", "2", "1"], "non-numeric value '1_000' in column 'a'"),
+        (["0.5", "\u0661\u0662", "1", "2", "1"], "non-numeric value '\u0661\u0662' in column 'b'"),
+        (["0.5", "1.5", "\uff17", "2", "1"], "non-integer value '\uff17' in column 'subject_id'"),
+        (["0.5", "", "1", "2", "1"], "non-numeric value '' in column 'b'"),
+        (["0.5", "1.5", "1", "2", " "], "non-integer value ' ' in column 'label'"),
     ],
 )
 def test_bulk_read_rejects_through_row_reader(tmp_path, row, message):
@@ -105,3 +113,21 @@ def test_bulk_read_rejects_through_row_reader(tmp_path, row, message):
     with pytest.raises(ValueError) as exc:
         read_feature_csv(str(path))
     assert str(exc.value) == f"{path}:3: {message}"
+
+
+def test_bulk_failure_with_no_failing_line_is_an_error(tmp_path):
+    # Should the bulk parse fail where no single line does, the file is
+    # refused by its path rather than read some other way.
+    parse = export._parse
+
+    def whole_file_fails(lines, dtype):
+        if not isinstance(lines, list):
+            raise ValueError("refused")
+        return parse(lines, dtype)
+
+    path = tmp_path / "features.csv"
+    write_rows(path, ["a"], [["0.1", "1", "1", "1"], ["0.2", "1", "2", "2"]])
+    with mock.patch.object(export, "_parse", whole_file_fails):
+        with pytest.raises(ValueError) as exc:
+            read_feature_csv(str(path))
+    assert str(exc.value) == f"{path}: the data rows do not parse together, though each parses alone"
