@@ -52,12 +52,12 @@ ACTION_LABELS = {
 class MalformedLineError(ValueError):
     """A data line has the wrong field count or a non-numeric/non-finite field.
 
-    path, when given, names the file and starts the message.
+    path, when given, names the file: the message starts path:line_no.
     """
 
     def __init__(self, line_no: int, message: str, path: str | None = None):
-        where = f"line {line_no}: {message}"
-        super().__init__(where if path is None else f"{path}: {where}")
+        where = f"line {line_no}" if path is None else f"{path}:{line_no}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no
         self.message = message
         self.path = path
@@ -419,8 +419,8 @@ def scan_action_tree(
 
     Walks `root` looking for ``*.txt`` files whose stem matches an action
     name (case/punctuation-insensitive, e.g. ``Side-kicking.txt``). The
-    subject id is taken from the digits of the nearest ancestor directory
-    that contains any (``sub1`` -> 1). Entries are sorted by
+    subject id is taken from the ASCII digits 0-9 of the nearest ancestor
+    directory that contains any (``sub1`` -> 1). Entries are sorted by
     (subject_id, action_label) so the scan order is deterministic.
 
     Raises:
@@ -443,9 +443,7 @@ def scan_action_tree(
                 continue
             subject = _subject_from_path(os.path.relpath(dirpath, root))
             if subject is None:
-                raise ValueError(
-                    f"cannot infer subject id for {os.path.join(dirpath, fname)}"
-                )
+                raise ValueError(f"{os.path.join(dirpath, fname)}: cannot infer subject id")
             rel = os.path.relpath(os.path.join(dirpath, fname), root)
             entries.append(ManifestEntry(rel, subject, label))
     entries.sort(key=lambda e: (e.subject_id, e.action_label))
@@ -458,10 +456,10 @@ def scan_action_tree(
 
 
 def _subject_from_path(relpath: str) -> int | None:
-    # Nearest ancestor directory with digits names the subject (sub1, s02, ...).
+    # Nearest ancestor directory with ASCII digits names the subject (sub1, s02, ...).
     parts = [p for p in relpath.split(os.sep) if p and p != "."]
     for part in reversed(parts):
-        digits = "".join(ch for ch in part if ch.isdigit())
+        digits = re.sub("[^0-9]", "", part)
         if digits:
             return int(digits)
     return None

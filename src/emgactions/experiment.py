@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from emgactions.dataset import parse_int, read_key_values
 from emgactions.features.assemble import FeatureConfig
+from emgactions.features.export import parse_cell
 from emgactions.pnn import NonPositiveSigmaError, PnnConfig, check_sigma
 
 
@@ -81,12 +82,10 @@ def _parse_grid(value: str) -> tuple:
 
 def _sigma(what: str, value: str) -> float:
     # NaN, inf or a width <= 0 would label every pattern with one class; a
-    # width too small for the kernel to compute fails check_sigma.
-    try:
-        sigma = float(value)
-    except ValueError:
-        sigma = math.nan
-    if not (math.isfinite(sigma) and sigma > 0.0):
+    # width too small for the kernel to compute fails check_sigma. The text
+    # is read as a features.csv cell is.
+    sigma = parse_cell(value)
+    if sigma is None or not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"{what} must be a finite number > 0, got {value!r}")
     try:
         return check_sigma(sigma)

@@ -78,6 +78,16 @@ def _parse(lines, dtype) -> np.ndarray:
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
+def parse_cell(text: str, dtype=float):
+    """The value of text read alone as one cell by the bulk parse, or None
+    where the parse fails or reads no value, as from an empty cell."""
+    try:
+        values = _parse([text], dtype)
+    except (ValueError, DeprecationWarning):
+        return None
+    return values[0] if values.size == 1 else None
+
+
 def _read_header(reader, path: str) -> list:
     try:
         header = next(reader, None)
@@ -119,12 +129,7 @@ def _cell_error(where: str, header, line: str) -> ValueError:
         return ValueError(f"{where}: expected {len(header)} fields, got {len(cells)}")
     for col, (name, cell) in enumerate(zip(header, cells)):
         integer = col >= len(header) - len(META_COLUMNS)
-        try:
-            # A lone empty cell parses to no value rather than failing.
-            parsed = _parse([cell], int if integer else float).size == 1
-        except (ValueError, DeprecationWarning):
-            parsed = False
-        if not parsed:
+        if parse_cell(cell, int if integer else float) is None:
             kind = "integer" if integer else "numeric"
             return ValueError(f"{where}: non-{kind} value {cell!r} in column {name!r}")
     return ValueError(f"{where}: the row does not parse, though each of its cells does")

@@ -289,7 +289,7 @@ def require_finite(X: np.ndarray, what: str) -> None:
 
 
 def fit_pnn(X, y, sigma: float, n_classes: int | None = None, warn: bool = True) -> PnnModel:
-    """Store normalized exemplars sorted by class.
+    """Store normalized exemplars sorted by class: Fold(X, y).model(X, sigma).
 
     Args:
         X: (P, D) training matrix, nonempty and finite.
@@ -308,48 +308,59 @@ def fit_pnn(X, y, sigma: float, n_classes: int | None = None, warn: bool = True)
             false.
     """
     X = np.asarray(X, dtype=float)
-    order, fitted = fit_statistics(X, y, n_classes, warn)
-    sigma = check_sigma(sigma)
-    return PnnModel(exemplars=(X[order] - fitted["mean"]) / fitted["scale"], sigma=sigma, **fitted)
+    return Fold(X, y, n_classes=n_classes, warn=warn).model(X, sigma)
 
 
-def fit_statistics(X, y, n_classes: int | None = None, warn: bool = True):
-    """fit_pnn's checks of X and y, warnings and fitted state but exemplars and sigma.
+class Fold:
+    """A fold of X fitted for the classifier, holding row indices, never rows.
 
-    Returns (order, fitted): the stable class-sorted order of the rows of X,
-    and every other PnnModel field by name.
+    test holds the fold's test rows of X; exemplars its training rows,
+    stably sorted by label as PnnModel.exemplars; mean, scale, class_ids,
+    counts and n_classes the PnnModel fields of the training rows.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("training matrix must be 2-d and nonempty")
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X and y lengths differ")
-    require_finite(X, "training")
-    if np.any(y < 1):
-        raise ValueError("labels must be >= 1")
-    C = int(n_classes) if n_classes is not None else int(y.max())
-    if y.max() > C:
-        raise ValueError(f"label {y.max()} exceeds n_classes={C}")
-    per_class = np.bincount(y, minlength=C + 1)[1:]
-    missing = (np.flatnonzero(per_class == 0) + 1).tolist()
-    if missing and warn:
-        warnings.warn(
-            f"classes without exemplars can never be predicted: {missing}",
-            EmptyClassWarning,
-            stacklevel=3,
+
+    def __init__(self, X, y, train=None, test=(), n_classes=None, warn=True):
+        """Fit rows train of X and y (default all) with fit_pnn's checks and warning."""
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=int)
+        if X.ndim != 2 or X.shape[0] < 1:
+            raise ValueError("training matrix must be 2-d and nonempty")
+        if X.shape[0] != y.shape[0]:
+            raise ValueError("X and y lengths differ")
+        if train is not None:
+            X, y = X[train], y[train]
+        require_finite(X, "training")
+        if np.any(y < 1):
+            raise ValueError("labels must be >= 1")
+        C = int(n_classes) if n_classes is not None else int(y.max())
+        if y.max() > C:
+            raise ValueError(f"label {y.max()} exceeds n_classes={C}")
+        per_class = np.bincount(y, minlength=C + 1)[1:]
+        missing = (np.flatnonzero(per_class == 0) + 1).tolist()
+        if missing and warn:
+            warnings.warn(
+                f"classes without exemplars can never be predicted: {missing}",
+                EmptyClassWarning,
+                stacklevel=3,
+            )
+        order = np.argsort(y, kind="stable")
+        self.test = test
+        self.exemplars = order if train is None else train[order]
+        self.mean = X.mean(axis=0)
+        std = X.std(axis=0)
+        # A constant column's std can be a rounding residue such as 1e-15, and
+        # one whose squared deviations underflow has std 0; dividing by either
+        # would blow a query's slightest offset there up.
+        self.scale = np.where((X.max(axis=0) == X.min(axis=0)) | (std == 0.0), 1.0, std)
+        self.class_ids = np.flatnonzero(per_class) + 1
+        self.counts = per_class[self.class_ids - 1]
+        self.n_classes = C
+
+    def model(self, X, sigma) -> PnnModel:
+        """The PnnModel of the training rows of X; NonPositiveSigmaError
+        where sigma is not finite and > 0."""
+        sigma = check_sigma(sigma)
+        exemplars = (X[self.exemplars] - self.mean) / self.scale
+        return PnnModel(
+            self.mean, self.scale, exemplars, self.class_ids, self.counts, sigma, self.n_classes
         )
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    # A constant column's std can be a rounding residue such as 1e-15, and
-    # one whose squared deviations underflow has std 0; dividing by either
-    # would blow a query's slightest offset there up.
-    scale = np.where((X.max(axis=0) == X.min(axis=0)) | (std == 0.0), 1.0, std)
-    class_ids = np.flatnonzero(per_class) + 1
-    return np.argsort(y, kind="stable"), dict(
-        mean=mean,
-        scale=scale,
-        class_ids=class_ids,
-        counts=per_class[class_ids - 1],
-        n_classes=C,
-    )

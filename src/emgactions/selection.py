@@ -26,11 +26,11 @@ from emgactions.features.spectral import LMF_COUNT
 from emgactions.metrics import accuracy, confusion_matrix, kappa
 from emgactions.pnn import (
     ROW_BLOCK,
+    Fold,
     NonFiniteScoreError,
     PnnConfig,
     check_sigma,
     classify_distances,
-    fit_statistics,
     overflow_error,
     require_finite,
 )
@@ -120,10 +120,22 @@ def cv_accuracy_criterion(
     require_finite(X, "X")
     splits = fold_splits(kfold_assignment(y, k, seed))
     C = int(y.max())
-    folds = [_Fold(X, y, train, test, C) for train, test in splits]
+    folds = [Fold(X, y, train, test, C) for train, test in splits]
     sigma = check_sigma(sigma)
     n_train = max(fold.exemplars.size for fold in folds)
     cells_per_candidate = split_cells(splits)
+
+    def squared_differences(fold, c: int, rows, out) -> np.ndarray:
+        """(x_c - e_c)^2 for every (row, exemplar) pair of fold, in out.
+
+        Column c is z-scored as PnnModel.distances does; (e - x)^2 is
+        (x - e)^2 bit for bit, and e - x in place spares a numpy buffer.
+        """
+        mean, scale = fold.mean[c], fold.scale[c]
+        out[...] = (X[fold.exemplars, c] - mean) / scale
+        out -= ((X[rows, c] - mean) / scale)[:, np.newaxis]
+        np.square(out, out=out)
+        return out
 
     def score(selected, candidates) -> list:
         """Correct count per candidate; raises the error of the first
@@ -142,9 +154,9 @@ def cv_accuracy_criterion(
                     d2 = buffer[:size].reshape(rows.size, -1)
                     prefix.fill(0.0)
                     for c in selected:
-                        prefix += fold.squared_differences(c, rows, d2)
+                        prefix += squared_differences(fold, c, rows, d2)
                     for i, c in enumerate(candidates[:limit]):
-                        fold.squared_differences(c, rows, d2)
+                        squared_differences(fold, c, rows, d2)
                         if selected:
                             d2 += prefix
                         try:
@@ -175,32 +187,6 @@ def cv_accuracy_criterion(
         return [count / y.size for counts in chunks for count in counts]
 
     return criterion
-
-
-class _Fold:
-    """One fold of the criterion: every PnnModel field fit_statistics fixes
-    on its training rows, and in exemplars those rows in class-sorted
-    exemplar order, which the columns of its distance arrays follow.
-    """
-
-    def __init__(self, X, y, train, test, n_classes):
-        order, fitted = fit_statistics(X[train], y[train], n_classes)
-        self.X = X
-        self.test = test
-        self.exemplars = train[order]
-        vars(self).update(fitted)
-
-    def squared_differences(self, c: int, rows, out) -> np.ndarray:
-        """(x_c - e_c)^2 for every (row, exemplar) pair, in out.
-
-        Column c is z-scored as PnnModel.distances does; (e - x)^2 is
-        (x - e)^2 bit for bit, and e - x in place spares a numpy buffer.
-        """
-        mean, scale = self.mean[c], self.scale[c]
-        out[...] = (self.X[self.exemplars, c] - mean) / scale
-        out -= ((self.X[rows, c] - mean) / scale)[:, np.newaxis]
-        np.square(out, out=out)
-        return out
 
 
 def sfs(

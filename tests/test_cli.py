@@ -237,7 +237,7 @@ class TestExtract:
         rc = main(["extract", "--manifest", str(manifest), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"error: {data / 'b.txt'}: line 121: expected 8 fields, got 3" in err
+        assert f"error: {data / 'b.txt'}:121: expected 8 fields, got 3" in err
         assert not (out / "features.csv").exists()
 
 
@@ -312,7 +312,7 @@ class TestForkedExtract:
             bad = b if fault != "malformed_last" else c
             with open(bad, "a", encoding="utf-8") as fh:
                 fh.write("1 2 3\n")  # line 121 of a 3 x 40 sample file
-            expected = f"error: {bad}: line 121: expected 8 fields, got 3"
+            expected = f"error: {bad}:121: expected 8 fields, got 3"
         if fault in ("non_utf8", "two"):
             lines = c.read_bytes().split(b"\n")
             lines[1] = b"\xff" + lines[1]
@@ -932,6 +932,12 @@ class TestConfig:
             ("runs = \u0661", "runs must be an integer >= 1, got '\u0661'"),
             ("cv_folds = \uff13", "cv_folds must be an integer >= 2, got '\uff13'"),
             ("pairs = \u0661-\u0662", "bad channel pair '\u0661-\u0662', expected 'i-j'"),
+            # Python's float() reads these four; numpy's cell parse does not.
+            ("sigma = \u0660.\u0665", "sigma must be a finite number > 0, got '\u0660.\u0665'"),
+            ("sigma_grid = 0.1, 1_0.5", "sigma_grid entry must be a finite number > 0, got '1_0.5'"),
+            ("sfs_sigma = \uff10.\uff13", "sfs_sigma must be a finite number > 0, got '\uff10.\uff13'"),
+            ("sigma = 1_0", "sigma must be a finite number > 0, got '1_0'"),
+            ("sfs_sigma =", "sfs_sigma must be a finite number > 0, got ''"),
         ],
     )
     def test_bad_value_names_line(self, tmp_path, line, message):
@@ -1164,7 +1170,7 @@ class TestMutatedRecording:
         text = (workspace["data"] / "sub1" / "Bowing.txt").read_text()
         rc, rec, outputs = self.extract(tmp_path, _mutate(text, mutation))
         assert rc == 2
-        assert f"error: {rec}: line 4: non-numeric field in [" in capsys.readouterr().err
+        assert f"error: {rec}:4: non-numeric field in [" in capsys.readouterr().err
         assert outputs == []
 
     @pytest.mark.parametrize("mutation", KEPT)

@@ -54,7 +54,7 @@ def test_malformed_line_error_survives_pickling():
 @pytest.mark.parametrize(
     "text, error, message",
     [
-        ("1 2 3 4 5 6 7 8\n1 2 3\n", MalformedLineError, "line 2: expected 8 fields, got 3"),
+        ("1 2 3 4 5 6 7 8\n1 2 3\n", MalformedLineError, "expected 8 fields, got 3"),
         ("\n\n", EmptyRecordingError, "no data lines in recording"),
         ("1 2 3 4 5 6 7 8\n", TooShortError, "1 samples cannot supply 3 non-empty trials"),
     ],
@@ -66,12 +66,13 @@ def test_read_error_keeps_its_path_across_a_pickle(tmp_path, text, error, messag
     manifest = DatasetManifest(str(tmp_path), [ManifestEntry("rec.txt", 1, 1)], trials_per_file=3)
     with pytest.raises(error) as exc:
         list(load_dataset(manifest))
-    assert str(exc.value) == f"{path}: {message}"
+    where = f"{path}:2" if error is MalformedLineError else path
+    assert str(exc.value) == f"{where}: {message}"
     copy = pickle.loads(pickle.dumps(exc.value))
     assert type(copy) is error
     assert str(copy) == str(exc.value)
     if error is MalformedLineError:
-        assert (copy.line_no, copy.message, copy.path) == (2, "expected 8 fields, got 3", str(path))
+        assert (copy.line_no, copy.message, copy.path) == (2, message, str(path))
 
 
 def test_parse_line_numbers_count_blank_lines():
@@ -418,7 +419,7 @@ def test_load_dataset_parse_error_names_file(tmp_path):
     )
     with pytest.raises(MalformedLineError) as exc:
         list(load_dataset(manifest))
-    assert str(exc.value) == f"{tmp_path / 'bad.txt'}: line 2: expected 2 fields, got 3"
+    assert str(exc.value) == f"{tmp_path / 'bad.txt'}:2: expected 2 fields, got 3"
     assert exc.value.line_no == 2
 
 
@@ -525,6 +526,22 @@ def test_scan_action_tree(tmp_path):
     assert {e.action_label for e in manifest.entries} == {1, 2, 19}
     recordings = load_dataset(manifest)
     assert [rec.trials.shape for rec in recordings] == [(5, 8, 2)] * 6
+
+
+@pytest.mark.parametrize("name", ["sub\u00b2", "sub\u0661", "sub\uff11"])
+def test_scan_action_tree_takes_only_ascii_subject_digits(tmp_path, name):
+    # str.isdigit() holds for each of these; int() fails on the first and
+    # reads the other two as 1.
+    for tree in (tmp_path / "alone" / name, tmp_path / "nested" / "s3" / name):
+        os.makedirs(tree)
+        (tree / "Bowing.txt").write_text("1 2\n")
+    with pytest.raises(ValueError) as exc:
+        scan_action_tree(str(tmp_path / "alone"))
+    assert str(exc.value) == f"{tmp_path / 'alone' / name / 'Bowing.txt'}: cannot infer subject id"
+    manifest = scan_action_tree(str(tmp_path / "nested"))
+    assert [(e.path, e.subject_id) for e in manifest.entries] == [
+        (os.path.join("s3", name, "Bowing.txt"), 3)
+    ]
 
 
 def test_scan_action_tree_missing_root(tmp_path):

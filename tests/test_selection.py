@@ -10,7 +10,14 @@ from emgactions import crossval, selection
 from emgactions.crossval import TooFewSamplesError, kfold_assignment, kfold_cv, monte_carlo
 from emgactions.features.assemble import FeatureConfig, registry_for
 from emgactions.features.registry import BadIndexError
-from emgactions.pnn import NonFiniteScoreError, NonPositiveSigmaError, PnnConfig
+from emgactions.pnn import (
+    EmptyClassWarning,
+    Fold,
+    NonFiniteScoreError,
+    NonPositiveSigmaError,
+    PnnConfig,
+    fit_pnn,
+)
 from emgactions.selection import (
     ChannelUnusedWarning,
     NoFeaturesError,
@@ -322,6 +329,40 @@ def test_criterion_memory_stays_below_half_a_prefix_cache_per_fold():
     finally:
         tracemalloc.stop()
     assert peak - X.nbytes < k * n_test * n_train * 8 / 2
+
+
+def test_criterion_folds_hold_no_matrix_and_fit_pnn_statistics(monkeypatch):
+    # Column 2 is constant, and label 3 has no sample, so no fold's training
+    # rows hold it.
+    rng = np.random.default_rng(11)
+    y = np.repeat([1, 2, 4], 7)
+    X = rng.normal(size=(y.size, 4)) + y[:, np.newaxis]
+    X[:, 2] = 0.1
+    folds = []
+
+    class RecordedFold(Fold):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            folds.append(self)
+
+    monkeypatch.setattr(selection, "Fold", RecordedFold)
+    with pytest.warns(EmptyClassWarning, match=r"\[3\]"):
+        cv_accuracy_criterion(X, y, k=3, sigma=SIGMA)
+    assert len(folds) == 3
+    for fold in folds:
+        assert [name for name, value in vars(fold).items() if np.ndim(value) > 1] == []
+        train = np.sort(fold.exemplars)
+        assert np.array_equal(train, np.setdiff1d(np.arange(y.size), fold.test))
+        with pytest.warns(EmptyClassWarning):
+            model = fit_pnn(X[train], y[train], SIGMA, n_classes=4)
+        for name in ("mean", "scale", "class_ids", "counts"):
+            ours, theirs = getattr(fold, name), getattr(model, name)
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+        assert fold.n_classes == model.n_classes == 4
+        assert fold.scale[2] == 1.0
+        assert fold.class_ids.tolist() == [1, 2, 4]
+        exemplars = (X[fold.exemplars] - fold.mean) / fold.scale
+        assert exemplars.tobytes() == model.exemplars.tobytes()
 
 
 class TestSfs:
