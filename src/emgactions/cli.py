@@ -38,6 +38,7 @@ from emgactions.experiment import ExperimentConfig, _integer, read_config
 from emgactions.features.assemble import extract_feature_matrix, registry_for
 from emgactions.features.export import (
     read_feature_csv,
+    require_distinct_rows,
     write_feature_csv,
     write_registry_csv,
 )
@@ -141,6 +142,7 @@ def _subset_inputs(args, check_registry: bool = True) -> tuple:
     file's feature columns be the configured registry's."""
     cfg = _load_config(args)
     X, y, _, _, names = read_feature_csv(args.features)
+    require_distinct_rows(args.features, X)
     registry = registry_for(cfg.features)
     if check_registry and list(names) != registry.names():
         raise ValueError(
@@ -237,6 +239,7 @@ def cmd_extract(args) -> int:
 def cmd_select(args) -> int:
     cfg = _load_config(args)
     X, y, _, _, names = read_feature_csv(args.features)
+    require_distinct_rows(args.features, X)
     criterion = cv_accuracy_criterion(
         X,
         y,

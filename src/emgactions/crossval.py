@@ -15,14 +15,16 @@ from emgactions.pnn import (
     NonFiniteScoreError,
     PnnConfig,
     check_sigma,
+    decided_labels,
     fit_pnn,
     require_finite,
 )
 
 # Distance cells (test rows x training rows, summed over the scoring a call
-# does) that a call must hold for each process it runs beyond this one; a
+# may do) that a call must hold for each process it runs beyond this one; a
 # smaller call stays serial, since forking a process costs more than scoring
-# a few cells.
+# a few cells. The sigma search scores only the rows decided_labels leaves
+# open, so its count is an upper bound.
 FORK_CELLS = 1 << 24
 
 
@@ -142,10 +144,13 @@ def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -
     Candidates are scored in ascending order and the first with the most
     hits wins, so ties resolve toward the smallest sigma. Runs entirely on
     the given data; callers pass their training split only. Each inner
-    split is fitted once, and its test rows' squared distances computed
-    once: neither depends on sigma, so every candidate scores the same
-    buffer through predict_batch, which leaves it unchanged. An inner split
-    that lacks a class does not warn.
+    split is fitted once, and its test rows' squared distances and their
+    per-class minima computed once: none depends on sigma. For each
+    candidate, decided_labels labels the rows whose nearest distances fix
+    their label, and one predict_batch call scores the rest from the same
+    buffer, which it leaves unchanged; where more than half the rows are
+    undecided it scores them all. An inner split that lacks a class does
+    not warn.
 
     Raises:
         EmptyGridError: no candidates.
@@ -169,8 +174,20 @@ def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -
         X_test, y_test = X[test], y[test]
         try:
             d2 = model.distances(X_test)
+            nearest = np.minimum.reduceat(d2, np.cumsum(model.counts) - model.counts, axis=1)
             for i, sigma in enumerate(grid):
-                labels, _ = replace(model, sigma=sigma).predict_batch(X_test, d2)
+                decided, labels = decided_labels(nearest, sigma, model.counts, model.class_ids)
+                rows = np.flatnonzero(~decided)
+                scored = replace(model, sigma=sigma)
+                if 2 * rows.size > decided.size:
+                    labels, _ = scored.predict_batch(X_test, d2)
+                else:
+                    # Copying the undecided rows pays only while they are
+                    # few; scoring all of d2 copies nothing.
+                    try:
+                        labels[rows], _ = scored.predict_batch(X_test[rows], d2[rows])
+                    except NonFiniteScoreError as exc:
+                        raise exc.reindexed(rows=rows) from None
                 correct[i] += int(np.count_nonzero(labels == y_test))
         except NonFiniteScoreError as exc:
             raise exc.reindexed(rows=test) from None
@@ -191,12 +208,12 @@ def kfold_cv(
     inside each training fold only.
 
     A call whose distance cells (each fold's test rows x training rows, and
-    under sigma=None each of its inner splits' once per grid value) are
-    worth more than one process by cell_processes scores contiguous chunks
-    of the folds at once through map_chunks, one per usable CPU. Each chunk
-    returns its integer confusion matrix and sigmas, so the report keeps
-    every bit, and the first error in fold order is raised as scoring
-    serially raises it.
+    under sigma=None each of its inner splits' at most once per grid value)
+    are worth more than one process by cell_processes scores contiguous
+    chunks of the folds at once through map_chunks, one per usable CPU.
+    Each chunk returns its integer confusion matrix and sigmas, so the
+    report keeps every bit, and the first error in fold order is raised as
+    scoring serially raises it.
 
     Raises:
         TooFewSamplesError: some class has fewer than k samples.
@@ -215,8 +232,8 @@ def kfold_cv(
     if config.sigma is None and config.selection_folds >= 2:
         for train, _ in splits:
             inner = stratified_folds(y[train], config.selection_folds, config.selection_seed)
-            # Each grid value scores every inner split's cells, though their
-            # distances are computed once.
+            # Each grid value scores at most every inner split's cells, though
+            # their distances are computed once.
             cells += len(config.sigma_grid) * split_cells(fold_splits(inner))
 
     def score(chunk) -> tuple:

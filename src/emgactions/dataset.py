@@ -419,14 +419,15 @@ def scan_action_tree(
 
     Walks `root` looking for ``*.txt`` files whose stem matches an action
     name (case/punctuation-insensitive, e.g. ``Side-kicking.txt``). The
-    subject id is taken from the ASCII digits 0-9 of the nearest ancestor
+    subject id is the one run of ASCII digits 0-9 in the nearest ancestor
     directory that contains any (``sub1`` -> 1). Entries are sorted by
     (subject_id, action_label) so the scan order is deterministic.
 
     Raises:
         MissingFileError: root directory absent.
-        ValueError: a matched file has no identifiable subject directory,
-            or two files map to the same (subject, action).
+        ValueError: a matched file has no identifiable subject directory
+            (none has a digit, or the nearest that has holds two digit runs,
+            as ``sub1_run2``), or two files map to the same (subject, action).
     """
     if not os.path.isdir(root):
         raise MissingFileError(f"dataset root not found: {root}")
@@ -456,10 +457,11 @@ def scan_action_tree(
 
 
 def _subject_from_path(relpath: str) -> int | None:
-    # Nearest ancestor directory with ASCII digits names the subject (sub1, s02, ...).
+    # Nearest ancestor directory with ASCII digits names the subject (sub1,
+    # s02, ...); one with two digit runs, such as sub1_run2, names none.
     parts = [p for p in relpath.split(os.sep) if p and p != "."]
     for part in reversed(parts):
-        digits = re.sub("[^0-9]", "", part)
-        if digits:
-            return int(digits)
+        runs = re.findall("[0-9]+", part)
+        if runs:
+            return int(runs[0]) if len(runs) == 1 else None
     return None

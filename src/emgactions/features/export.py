@@ -69,6 +69,39 @@ def read_feature_csv(path: str):
     return (np.ascontiguousarray(rows["X"]), *meta, header[:-3])
 
 
+def require_distinct_rows(path: str, X) -> None:
+    """Raise a ValueError naming `path:N:`, the first data line of the
+    features.csv at path whose feature values are bitwise those of an
+    earlier line, and the earliest such line; X is read_feature_csv(path)'s
+    matrix. Each pattern must appear once: a copy in a training fold would
+    score its twin in the test fold. Holds a hash per row, not a copy of X.
+    """
+    seen = {}  # hash of a row's bytes -> the distinct rows with that hash
+    for j, row in enumerate(X):
+        key = row.tobytes()
+        rows = seen.setdefault(hash(key), [])
+        for i in rows:
+            if X[i].tobytes() == key:
+                first, line = _data_line_numbers(path, (i, j))
+                raise ValueError(
+                    f"{path}:{line}: the feature values repeat those of line {first} "
+                    "bit for bit; a pattern must appear once"
+                )
+        rows.append(j)
+
+
+def _data_line_numbers(path: str, rows) -> list:
+    """The line number of each of rows (data row indices, 0-based) of the
+    features.csv at path, skipping its header and the blank lines the bulk
+    parse skips."""
+    lines = read_lines(path)
+    reader = csv.reader(lines)
+    next(reader)
+    start = reader.line_num
+    data = [n for n, line in enumerate(lines[start:], start + 1) if _parse([line], float).size]
+    return [data[r] for r in rows]
+
+
 def _parse(lines, dtype) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")

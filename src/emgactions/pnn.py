@@ -256,6 +256,35 @@ def classify_distances(d2, sigma, counts, class_ids, n_classes):
     return np.argmax(scores, axis=1) + 1, posteriors
 
 
+def decided_labels(nearest, sigma, counts, class_ids):
+    """The rows whose classify_distances label their per-class nearest
+    squared distances already fix, and that label; returns (decided (n,),
+    labels (n,)), labels holding the nearest class on every row.
+
+    nearest is (n, len(class_ids)): each class's smallest squared distance,
+    as np.minimum.reduceat takes it over the exemplar columns of d2. Scaled
+    and shifted as classify_distances scales and shifts d2, nearest gives
+    k_c, the largest exponent of class c, exactly: for a negative scale,
+    fl(min d * c) is max fl(d * c), and the shift is monotone too. Let w be
+    the one class with k_w = 0. Its kernel sum holds exp(0) = 1 among
+    nonnegative terms, so its mean is at least 1 / count_w; another class's
+    mean is at most exp(k_c), up to rounding of its nonnegative terms that
+    is far below the 1e-6 slack. So a row is decided, with label w, where
+    every other k_c < -log(count_w) - 1e-6. A tie for the nearest class
+    never decides a row, nor does a NaN distance or a row whose exponents
+    are all -inf, where classify_distances raises.
+    """
+    k = nearest * (-1.0 / (2.0 * sigma * sigma))
+    # A row of infinite or NaN distances shifts to NaN, and is not decided.
+    with np.errstate(invalid="ignore"):
+        k -= k.max(axis=1, keepdims=True)
+    top = k == 0.0
+    winner = np.argmax(top, axis=1)
+    k[top] = -np.inf
+    decided = (top.sum(axis=1) == 1) & (k.max(axis=1) < -np.log(counts[winner]) - 1e-6)
+    return decided, class_ids[winner]
+
+
 def check_sigma(sigma) -> float:
     """Return sigma as a float.
 

@@ -524,6 +524,28 @@ class TestEval:
         assert capsys.readouterr().err == message
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "select", "relevance", "ablate"])
+    def test_repeated_pattern_exits_2(self, workspace, tmp_path, capsys, command):
+        # Each copy in a training fold would score its twin in the test fold.
+        rows = rows_of(workspace["features"])
+        twice = tmp_path / "features.csv"
+        with open(twice, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows + rows[1:])
+        rc = main([
+            command,
+            "--config", str(workspace["config"]),
+            "--features", str(twice),
+            *(() if command == "select" else ("--selected", "reference")),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        message = (
+            f"error: {twice}:{len(rows) + 1}: the feature values repeat those of line 2 "
+            "bit for bit; a pattern must appear once\n"
+        )
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+
     def test_out_of_range_index(self, workspace, tmp_path, capsys):
         assert self.run_eval(workspace, tmp_path, ("--selected", "300")) == 2
         assert "300" in capsys.readouterr().err

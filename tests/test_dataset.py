@@ -544,6 +544,18 @@ def test_scan_action_tree_takes_only_ascii_subject_digits(tmp_path, name):
     ]
 
 
+@pytest.mark.parametrize("name", ["sub1_run2", "s1r2", "3-4"])
+def test_scan_action_tree_rejects_two_digit_runs(tmp_path, name):
+    # Joining the runs would read sub1_run2 as subject 12; the nearest
+    # digit-bearing directory decides, so s5 above it does not help.
+    tree = tmp_path / "s5" / name
+    os.makedirs(tree)
+    (tree / "Bowing.txt").write_text("1 2\n")
+    with pytest.raises(ValueError) as exc:
+        scan_action_tree(str(tmp_path))
+    assert str(exc.value) == f"{tree / 'Bowing.txt'}: cannot infer subject id"
+
+
 def test_scan_action_tree_missing_root(tmp_path):
     with pytest.raises(MissingFileError):
         scan_action_tree(str(tmp_path / "nope"))

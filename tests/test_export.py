@@ -131,3 +131,30 @@ def test_bulk_failure_with_no_failing_line_is_an_error(tmp_path):
         with pytest.raises(ValueError) as exc:
             read_feature_csv(str(path))
     assert str(exc.value) == f"{path}: the data rows do not parse together, though each parses alone"
+
+
+@pytest.mark.parametrize("blank_lines", [False, True])
+@pytest.mark.parametrize("collide", [False, True])
+def test_repeated_row_names_both_lines(tmp_path, monkeypatch, blank_lines, collide):
+    # Rows 1 and 3 (data rows, 0-based) repeat row 0; -0.0 is not 0.0 bit
+    # for bit, and the meta columns do not count.
+    if collide:  # every row hashes alike, so only the byte test tells rows apart
+        monkeypatch.setattr(export, "hash", lambda key: 0, raising=False)
+    rows = [
+        ["0.5", "0.0", "1", "1", "1"],
+        ["0.5", "-0.0", "1", "2", "1"],
+        ["0.25", "0.0", "1", "3", "2"],
+        ["0.5", "0.0", "2", "4", "2"],
+        ["0.5", "0.0", "1", "5", "1"],
+    ]
+    path = tmp_path / "features.csv"
+    write_rows(path, ["a", "b"], rows, blank_lines)
+    X = read_feature_csv(str(path))[0]
+    with pytest.raises(ValueError) as exc:
+        export.require_distinct_rows(str(path), X)
+    first, line = (2, 8) if blank_lines else (2, 5)
+    assert str(exc.value) == (
+        f"{path}:{line}: the feature values repeat those of line {first} bit for bit; "
+        "a pattern must appear once"
+    )
+    export.require_distinct_rows(str(path), X[:3])

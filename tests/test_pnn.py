@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emgactions import crossval
 from emgactions.crossval import EmptyGridError, select_sigma, stratified_folds
@@ -18,6 +19,7 @@ from emgactions.pnn import (
     PnnModel,
     check_sigma,
     classify_distances,
+    decided_labels,
     fit_pnn,
 )
 from ._synth import blobs
@@ -505,3 +507,100 @@ class TestSigmaSelectionFits:
     def test_tie_case_ties(self):
         _, X, y, folds = next(sigma_cases())
         assert select_sigma(X, y, DEFAULT_SIGMA_GRID, folds=folds) == DEFAULT_SIGMA_GRID[0]
+
+
+def kernel_labels(d2, sigma, model):
+    """classify_distances's label for each row of d2 alone, 0 where it raises."""
+    labels = np.zeros(len(d2), dtype=int)
+    for r in range(len(d2)):
+        try:
+            got, _ = classify_distances(
+                d2[r : r + 1].copy(), sigma, model.counts, model.class_ids, model.n_classes
+            )
+        except NonFiniteScoreError:
+            continue
+        labels[r] = got[0]
+    return labels
+
+
+def nearest_of(d2, model):
+    return np.minimum.reduceat(d2, np.cumsum(model.counts) - model.counts, axis=1)
+
+
+class TestDecidedLabels:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["discrete", "integer", "spread"]),
+        st.integers(0, 2**32 - 1),
+        st.floats(-3.0, 3.0),
+    )
+    def test_decided_rows_take_the_kernel_label(self, kind, seed, log_sigma):
+        # Class 1 has one exemplar and class 4 none; query row 0 lies
+        # infinitely far from class 2, and row 1 holds a NaN distance.
+        rng = np.random.default_rng(seed)
+        n, dim = int(rng.integers(4, 30)), int(rng.integers(1, 5))
+        if kind == "discrete":
+            X = rng.integers(0, 3, (2 * n, dim)).astype(float)
+        elif kind == "integer":
+            X = rng.integers(-50, 51, (2 * n, dim)).astype(float)
+        else:
+            X = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), (2 * n, dim))
+        y = np.concatenate([[1, 2, 3], rng.integers(2, 4, n - 3)])
+        model = fit_pnn(X[:n], y, 1.0, n_classes=4, warn=False)
+        d2 = model.distances(X[n:])
+        d2[0, model.counts[0] : model.counts[0] + model.counts[1]] = np.inf
+        d2[1, int(rng.integers(d2.shape[1]))] = np.nan
+        sigma = 10.0**log_sigma
+        nearest = nearest_of(d2, model)
+        decided, labels = decided_labels(nearest, sigma, model.counts, model.class_ids)
+        assert not decided[1]
+        want = kernel_labels(d2, sigma, model)
+        assert np.all(want[decided] > 0)
+        assert np.array_equal(labels[decided], want[decided])
+
+    def test_tie_for_nearest_class_is_not_decided(self):
+        # Query 0 lies as near to class 1 as to class 3; at any width the
+        # kernel breaks that tie, so the rule must leave it.
+        counts, class_ids = np.array([1, 2, 1]), np.array([1, 3, 4])
+        d2 = np.array([[1.0, 1.0, 9.0, 400.0], [1.0, 4.0, 9.0, 400.0]])
+        model = PnnModel(np.zeros(1), np.ones(1), np.zeros((4, 1)), class_ids, counts, 1.0, 4)
+        for sigma in (1e-3, 0.05, 1.0):
+            decided, labels = decided_labels(nearest_of(d2, model), sigma, counts, class_ids)
+            assert decided.tolist() == [False, True]
+            assert labels[1] == 1
+            assert kernel_labels(d2, sigma, model).tolist() == [1, 1]
+
+    def test_rows_far_from_other_classes_are_decided(self):
+        X, y = blobs(n_per_class=20, n_classes=3, dim=2, spread=0.2, separation=5.0, seed=21)
+        model = fit_pnn(X, y, 0.05)
+        d2 = model.distances(X + 0.01)
+        nearest = nearest_of(d2, model)
+        decided, labels = decided_labels(nearest, 0.05, model.counts, model.class_ids)
+        assert decided.all()
+        assert np.array_equal(labels, model.predict_batch(X + 0.01)[0])
+
+
+class TestSigmaSelectionOverflow:
+    @pytest.mark.parametrize("bad", [3, 40, 77])
+    def test_overflow_names_the_row_of_x(self, bad, monkeypatch):
+        # Column 0 spreads 5e-161 except row bad's 1e-3, which overflows its
+        # squared distances; column 1 separates the classes, so at the
+        # smallest width nearly every row is decided and only the few left
+        # are scored, the overflowing row among them.
+        rng = np.random.default_rng(bad)
+        y = np.repeat([1, 2, 3], 30)
+        X = np.column_stack([1e-160 * (np.arange(90) % 2), 10.0 * y + rng.normal(0.0, 0.5, 90)])
+        X[bad, 0] = 1e-3
+        scored = []
+        real_predict = PnnModel.predict_batch
+
+        def recording_predict(model, Q, d2=None):
+            scored.append((len(Q), len(d2)))
+            return real_predict(model, Q, d2)
+
+        monkeypatch.setattr(PnnModel, "predict_batch", recording_predict)
+        with pytest.raises(NonFiniteScoreError) as exc:
+            select_sigma(X, y)
+        assert (exc.value.row, exc.value.column) == (bad, 0)
+        assert str(exc.value).startswith(f"query row {bad} has no finite class score: column 0 ")
+        assert len(scored[-1]) and scored[-1][0] < 18  # a subset of the 18 test rows
