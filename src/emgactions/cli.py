@@ -32,7 +32,7 @@ if "numpy" not in sys.modules and not any(var in os.environ for var in _BLAS_THR
 
 import numpy as np
 
-from emgactions.crossval import map_chunks, monte_carlo
+from emgactions.crossval import SigmaGridEdgeWarning, map_chunks, monte_carlo
 from emgactions.dataset import load_dataset, parse_int, read_lines, read_manifest, scan_action_tree
 from emgactions.experiment import ExperimentConfig, _integer, read_config
 from emgactions.features.assemble import extract_feature_matrix, registry_for
@@ -56,44 +56,51 @@ from emgactions.pnn import NonFiniteScoreError
 
 def _load_config(args) -> ExperimentConfig:
     cfg = read_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         try:
             cfg = replace(cfg, seed=_integer("seed", args.seed))
         except ValueError as exc:
             raise ValueError(f"--seed: {exc}") from None
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg = replace(cfg, out=args.out)
     return cfg
 
 
-def _parse_selected(spec: str | None, n_features: int, registry) -> tuple:
-    """Resolve a --selected value into 1-based feature indices.
+def _parse_selected(spec: str, names, registry) -> tuple:
+    """Resolve a --selected value into 1-based indices of names, the
+    features.csv feature columns.
 
     Accepts 'all', 'reference', a comma-separated index list, or a path to
     either a selection CSV (with an 'index' column) or a plain list file.
-    A repeated index is rejected: its column would count twice in every
-    distance.
+    Where a selection CSV has a 'name' column too, each row's name must be
+    the features.csv name at its index. A repeated index is rejected: its
+    column would count twice in every distance.
     """
-    if spec is None or spec == "all":
-        return tuple(range(1, n_features + 1))
+    if spec == "all":
+        return tuple(range(1, len(names) + 1))
     if spec == "reference":
         return reference_selection(registry)
     if os.path.isfile(spec):
         cells = _selection_file_cells(spec)
     else:
-        cells = [(None, v) for v in spec.split(",") if v.strip()]  # no line
+        cells = [(None, v, None) for v in spec.split(",") if v.strip()]  # no line
         if not cells:
             raise ValueError("empty --selected list")
     lines = {}  # index -> the line it first appears on
-    for line, value in cells:
+    for line, value, name in cells:
         where = "" if line is None else f"{spec}:{line}: "
         idx = parse_int(value)
         if idx is None:
             if line is None:
                 raise ValueError(f"cannot parse --selected value {spec!r}")
             raise ValueError(f"{where}feature index {value!r} is not an integer")
-        if not 1 <= idx <= n_features:
-            raise BadIndexError(f"{where}feature index {idx} outside 1..{n_features}")
+        if not 1 <= idx <= len(names):
+            raise BadIndexError(f"{where}feature index {idx} outside 1..{len(names)}")
+        if name is not None and name != names[idx - 1]:
+            raise ValueError(
+                f"{where}feature index {idx} is named {name!r}, "
+                f"but the features file names it {names[idx - 1]!r}"
+            )
         if idx in lines:
             if line is None:
                 raise ValueError(f"--selected repeats feature index {idx}")
@@ -103,19 +110,26 @@ def _parse_selected(spec: str | None, n_features: int, registry) -> tuple:
 
 
 def _selection_file_cells(path: str) -> list:
-    """(line, text) of every index in a selection file: its 'index' column
-    if its first row names one, else every field."""
+    """(line, index text, name or None) of every index in a selection file:
+    its 'index' column, and its 'name' column where there is one, if its
+    first row names them, else every field. Every row is checked for those
+    fields before any is read."""
     reader = csv.reader(read_lines(path))
     rows = [(reader.line_num, row) for row in reader if row]
     header = [c.strip().lower() for c in rows[0][1]] if rows else []
     if "index" in header:
-        col = header.index("index")
+        cols = {key: header.index(key) for key in ("index", "name") if key in header}
         for line, row in rows[1:]:
-            if len(row) <= col:
-                raise ValueError(f"{path}:{line}: no 'index' field in {len(row)} fields")
-        cells = [(line, row[col]) for line, row in rows[1:]]
+            for key, col in cols.items():
+                if len(row) <= col:
+                    raise ValueError(f"{path}:{line}: no {key!r} field in {len(row)} fields")
+        named = "name" in cols
+        cells = [
+            (line, row[cols["index"]], row[cols["name"]].strip() if named else None)
+            for line, row in rows[1:]
+        ]
     else:
-        cells = [(line, v) for line, row in rows for v in row]
+        cells = [(line, v, None) for line, row in rows for v in row]
     if not cells:
         raise ValueError(f"{path}: no feature index in the selection file")
     return cells
@@ -136,20 +150,37 @@ def _scores_named(path: str, names, columns=None):
         ) from None
 
 
-def _subset_inputs(args, check_registry: bool = True) -> tuple:
-    """(cfg, X, y, names, registry, selected) of a command that scores
-    --selected subsets of features.csv; check_registry demands that the
-    file's feature columns be the configured registry's."""
+def _read_patterns(args, registry_used: bool) -> tuple:
+    """(cfg, X, y, names, registry) of an analysis command: its config, and
+    its features.csv read once, with no repeated row; where registry_used,
+    the file's feature columns must be the configured registry's."""
     cfg = _load_config(args)
     X, y, _, _, names = read_feature_csv(args.features)
     require_distinct_rows(args.features, X)
     registry = registry_for(cfg.features)
-    if check_registry and list(names) != registry.names():
+    if registry_used and list(names) != registry.names():
         raise ValueError(
             f"{args.features}: feature columns do not match the configured registry; "
             "re-extract with the same config or adjust it"
         )
-    return cfg, X, y, names, registry, _parse_selected(args.selected, X.shape[1], registry)
+    return cfg, X, y, names, registry
+
+
+def _warn_grid_edges(config, sigmas) -> None:
+    """Warn once per end of config's sigma grid that a fold's search chose:
+    such a fold scored no width beyond it."""
+    grid = sorted(set(config.sigma_grid))
+    if config.sigma is not None or len(grid) < 2:
+        return
+    chosen = [sigma for run in sigmas for sigma in run]
+    for edge, end in ((grid[0], "bottom"), (grid[-1], "top")):
+        if edge in chosen:
+            warnings.warn(
+                f"sigma search chose {edge!r}, the {end} of the grid, "
+                f"in {chosen.count(edge)} of {len(chosen)} folds",
+                SigmaGridEdgeWarning,
+                stacklevel=2,
+            )
 
 
 def _cv_args(cfg: ExperimentConfig) -> dict:
@@ -237,9 +268,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_select(args) -> int:
-    cfg = _load_config(args)
-    X, y, _, _, names = read_feature_csv(args.features)
-    require_distinct_rows(args.features, X)
+    cfg, X, y, names, _ = _read_patterns(args, registry_used=False)
     criterion = cv_accuracy_criterion(
         X,
         y,
@@ -270,11 +299,13 @@ def cmd_select(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, X, y, names, _, selected = _subset_inputs(args, args.selected == "reference")
+    cfg, X, y, names, registry = _read_patterns(args, registry_used=args.selected == "reference")
+    selected = _parse_selected(args.selected, names, registry)
     cols = np.asarray(selected, dtype=int) - 1
     X = X[:, cols]  # nothing below reads the other columns
     with _scores_named(args.features, names, cols):
         result = monte_carlo(X, y, **_cv_args(cfg))
+    _warn_grid_edges(cfg.pnn, result.sigmas)  # before any file, as -W error may raise
     confusion = result.confusion.tolist()
     confusion_path = _write_table(
         cfg,
@@ -308,7 +339,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_relevance(args) -> int:
-    cfg, X, y, names, registry, selected = _subset_inputs(args)
+    cfg, X, y, names, registry = _read_patterns(args, registry_used=True)
+    selected = _parse_selected(args.selected, names, registry)
     with _scores_named(args.features, names):
         results = channel_relevance(X, y, selected, registry, **_cv_args(cfg))
     rows = [[ch, repr(res.mean_alpha), repr(res.mean_kappa)] for ch, res in enumerate(results, 1)]
@@ -317,8 +349,8 @@ def cmd_relevance(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg, X, y, names, registry, selected = _subset_inputs(args)
-    groups = ablation_groups(selected, registry)
+    cfg, X, y, names, registry = _read_patterns(args, registry_used=True)
+    groups = ablation_groups(_parse_selected(args.selected, names, registry), registry)
     groups = {name: idx for name, idx in groups.items() if idx}
     with _scores_named(args.features, names):
         results = ablation(X, y, groups, **_cv_args(cfg))

@@ -36,6 +36,10 @@ class EmptyGridError(ValueError):
     """Sigma selection needs a nonempty candidate grid."""
 
 
+class SigmaGridEdgeWarning(UserWarning):
+    """The sigma search chose an end of its grid: no width beyond it was scored."""
+
+
 @dataclass
 class EvalReport:
     """Pooled result of one cross-validated run.

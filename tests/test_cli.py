@@ -2,9 +2,11 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 import emgactions
 from emgactions import cli
 from emgactions.cli import main
-from emgactions.crossval import monte_carlo
+from emgactions.crossval import SigmaGridEdgeWarning, monte_carlo
 from emgactions.experiment import read_config
 from emgactions.features.assemble import FeatureConfig, registry_for
 from emgactions.features.autoregressive import PoleOnGridError
@@ -381,6 +383,15 @@ class TestSelect:
             expected = rf"step {step}: feature {idx} \({re.escape(name)}\) criterion {float(score):.4f} "
             assert re.fullmatch(expected + r"at \d+\.\d s", line), line
 
+    def test_selection_file_feeds_eval(self, workspace, tmp_path):
+        out = tmp_path / "sel"
+        argv = ["--config", str(workspace["config"]), "--features", str(workspace["features"])]
+        assert main(["select", *argv, "--out", str(out)]) == 0
+        selection = out / "selection.csv"
+        assert main(["eval", *argv, "--selected", str(selection), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["selected"] == [int(row[1]) for row in rows_of(selection)[1:]]
+
 
 class TestEval:
     def run_eval(self, workspace, out, extra=()):
@@ -426,6 +437,34 @@ class TestEval:
         expected = monte_carlo(X[:, :3], y, k=3, runs=2, base_seed=0, config=cfg.pnn_config())
         report = json.loads((out / "report.json").read_text())
         assert report["sigmas"] == [list(run) for run in expected.sigmas]
+
+    @pytest.mark.parametrize(
+        "lines, expected",
+        [
+            ("sigma = auto\nsigma_grid = 0.05, 0.5, 5.0", [
+                "sigma search chose 0.05, the bottom of the grid, in 4 of 6 folds",
+                "sigma search chose 5.0, the top of the grid, in 2 of 6 folds",
+            ]),
+            ("sigma = auto\nsigma_grid = 0.5", []),
+            ("sigma = 0.05\nsigma_grid = 0.05, 5.0", []),
+        ],
+        ids=["both_edges", "one_value_grid", "fixed_sigma"],
+    )
+    def test_sigma_search_at_grid_edge_warns(self, workspace, tmp_path, capsys, lines, expected):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"cv_folds = 3\nruns = 2\nselection_folds = 2\n{lines}\n")
+        argv = ["eval", "--config", str(cfg), "--features", str(workspace["features"])]
+        argv += ["--selected", "3"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert [str(w.message) for w in caught if w.category is SigmaGridEdgeWarning] == expected
+        # Made an error, the first warning stops the run before it writes a file.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            assert main([*argv, "--out", str(tmp_path / "error")]) == (2 if expected else 0)
+        assert capsys.readouterr().err == "".join(f"error: {w}\n" for w in expected[:1])
+        assert (tmp_path / "error").exists() is not bool(expected)
 
     def test_reruns_byte_identical(self, workspace, tmp_path):
         out = tmp_path / "eval"
@@ -870,6 +909,39 @@ def test_repeated_index_exits_2(workspace, tmp_path, capsys, command, source):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "relevance", "ablate"])
+def test_selection_file_names_checked(workspace, tmp_path, capsys, command):
+    # A selection.csv made on another layout names other features.
+    selected = tmp_path / "selection.csv"
+    selected.write_text("step,index,name,criterion\n1,5,tds_ch2_mean,0.5\n2,45,also_wrong,0.6\n")
+    argv = [command, "--config", str(workspace["config"]), "--features", str(workspace["features"])]
+    assert main([*argv, "--selected", str(selected), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {selected}:3: feature index 45 is named 'also_wrong', "
+        "but the features file names it 'lmf_ch1_f1'\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["warning_made_an_error", "overflow"])
+def test_process_exits_2_with_one_error_line(workspace, tmp_path, case):
+    # What a shell sees: the exit code, and stderr holding the error line
+    # alone. The installed console script runs where there is one.
+    script = shutil.which("emgactions")
+    argv = [script] if script else [sys.executable, "-m", "emgactions.cli"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(emgactions.__file__)))
+    if case == "warning_made_an_error":
+        env["PYTHONWARNINGS"] = "error::UserWarning"
+        argv += ["relevance", "--features", str(workspace["features"]), "--selected", "1,2"]
+    else:
+        bad = tiny_spread_features(workspace, tmp_path)
+        argv += ["eval", "--features", str(bad), "--selected", "1,41"]
+    argv += ["--config", str(workspace["config"]), "--out", str(tmp_path / "out")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+
+
 @pytest.mark.parametrize(
     "kind", ["recording", "manifest", "config", "features", "features_header", "selection"]
 )
@@ -981,11 +1053,15 @@ class TestConfig:
             ("eval", "sigma = 1e-160"),
             ("eval", "sigma_grid = 0.1, 1e-200"),
             ("select", "sfs_sigma = 1e-200"),
+            ("eval", "sigma = \u0660.\u0665"),
+            ("eval", "pairs = 3-4;4-3"),
         ],
     )
     def test_non_finite_sigma_exits_2(self, workspace, tmp_path, capsys, command, line):
         # NaN or inf labels every pattern class 1: a plausible-looking metric.
         # A width whose 1 / (2 sigma^2) is not finite has no kernel at all.
+        # Arabic-Indic digits, which Python's float() reads, and a repeated
+        # channel pair stop every command at the config line too.
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{line}\n")
         rc = main([

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emgactions import dataset
+from emgactions.cli import main
 from emgactions.dataset import (
     ACTION_LABELS,
     DatasetManifest,
@@ -529,7 +530,7 @@ def test_scan_action_tree(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["sub\u00b2", "sub\u0661", "sub\uff11"])
-def test_scan_action_tree_takes_only_ascii_subject_digits(tmp_path, name):
+def test_scan_action_tree_takes_only_ascii_subject_digits(tmp_path, capsys, name):
     # str.isdigit() holds for each of these; int() fails on the first and
     # reads the other two as 1.
     for tree in (tmp_path / "alone" / name, tmp_path / "nested" / "s3" / name):
@@ -538,6 +539,10 @@ def test_scan_action_tree_takes_only_ascii_subject_digits(tmp_path, name):
     with pytest.raises(ValueError) as exc:
         scan_action_tree(str(tmp_path / "alone"))
     assert str(exc.value) == f"{tmp_path / 'alone' / name / 'Bowing.txt'}: cannot infer subject id"
+    out = tmp_path / "out"
+    assert main(["extract", "--manifest", str(tmp_path / "alone"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert not out.exists()
     manifest = scan_action_tree(str(tmp_path / "nested"))
     assert [(e.path, e.subject_id) for e in manifest.entries] == [
         (os.path.join("s3", name, "Bowing.txt"), 3)
@@ -545,7 +550,7 @@ def test_scan_action_tree_takes_only_ascii_subject_digits(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", ["sub1_run2", "s1r2", "3-4"])
-def test_scan_action_tree_rejects_two_digit_runs(tmp_path, name):
+def test_scan_action_tree_rejects_two_digit_runs(tmp_path, capsys, name):
     # Joining the runs would read sub1_run2 as subject 12; the nearest
     # digit-bearing directory decides, so s5 above it does not help.
     tree = tmp_path / "s5" / name
@@ -554,6 +559,9 @@ def test_scan_action_tree_rejects_two_digit_runs(tmp_path, name):
     with pytest.raises(ValueError) as exc:
         scan_action_tree(str(tmp_path))
     assert str(exc.value) == f"{tree / 'Bowing.txt'}: cannot infer subject id"
+    assert main(["extract", "--manifest", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_scan_action_tree_missing_root(tmp_path):
