@@ -136,13 +136,14 @@ def _selection_file_cells(path: str) -> list:
 
 
 @contextlib.contextmanager
-def _scores_named(path: str, names, columns=None):
+def _scores_named(path: str, names, rows, columns=None):
     """Re-raise a NonFiniteScoreError naming the features.csv data row and
-    feature; columns maps the evaluated matrix's columns to the file's."""
+    feature; rows and columns map the evaluated matrix's rows and columns
+    to the file's."""
     try:
         yield
     except NonFiniteScoreError as exc:
-        exc = exc.reindexed(columns=columns)
+        exc = exc.reindexed(rows=rows, columns=columns)
         raise ValueError(
             f"{path}: data row {exc.row + 1} has no finite class score: feature "
             f"{exc.column + 1} ({names[exc.column]}) lies {exc.spread:.3g} training "
@@ -151,24 +152,31 @@ def _scores_named(path: str, names, columns=None):
 
 
 def _read_patterns(args, registry_used: bool) -> tuple:
-    """(cfg, X, y, names, registry) of an analysis command: its config, and
-    its features.csv read once, with no repeated row; where registry_used,
-    the file's feature columns must be the configured registry's."""
+    """(cfg, X, y, names, registry, rows) of an analysis command: its config,
+    and its features.csv read once, with no repeated row; where
+    registry_used, the file's feature columns must be the configured
+    registry's. The patterns are stably sorted by (subject, label, trial),
+    so the folds follow the pattern keys, not the file's row order; rows
+    holds each sorted pattern's data row of the file."""
     cfg = _load_config(args)
-    X, y, _, _, names = read_feature_csv(args.features)
+    X, y, subjects, trials, names = read_feature_csv(args.features)
     require_distinct_rows(args.features, X)
+    rows = np.lexsort((trials, y, subjects))
+    if np.any(rows[1:] < rows[:-1]):  # a file in key order keeps its arrays
+        X, y = X[rows], y[rows]
     registry = registry_for(cfg.features)
     if registry_used and list(names) != registry.names():
         raise ValueError(
             f"{args.features}: feature columns do not match the configured registry; "
             "re-extract with the same config or adjust it"
         )
-    return cfg, X, y, names, registry
+    return cfg, X, y, names, registry, rows
 
 
 def _warn_grid_edges(config, sigmas) -> None:
     """Warn once per end of config's sigma grid that a fold's search chose:
-    such a fold scored no width beyond it."""
+    such a fold scored no width beyond it. sigmas holds, per run, the width
+    each fold chose."""
     grid = sorted(set(config.sigma_grid))
     if config.sigma is not None or len(grid) < 2:
         return
@@ -268,7 +276,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_select(args) -> int:
-    cfg, X, y, names, _ = _read_patterns(args, registry_used=False)
+    cfg, X, y, names, _, file_rows = _read_patterns(args, registry_used=False)
     criterion = cv_accuracy_criterion(
         X,
         y,
@@ -285,7 +293,7 @@ def cmd_select(args) -> int:
             file=sys.stderr,
         )
 
-    with _scores_named(args.features, names):
+    with _scores_named(args.features, names, file_rows):
         trace = sfs(
             X, y, criterion, max_features=cfg.max_features, patience=cfg.patience, on_step=progress
         )
@@ -299,11 +307,12 @@ def cmd_select(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, X, y, names, registry = _read_patterns(args, registry_used=args.selected == "reference")
+    reference = args.selected == "reference"
+    cfg, X, y, names, registry, file_rows = _read_patterns(args, registry_used=reference)
     selected = _parse_selected(args.selected, names, registry)
     cols = np.asarray(selected, dtype=int) - 1
     X = X[:, cols]  # nothing below reads the other columns
-    with _scores_named(args.features, names, cols):
+    with _scores_named(args.features, names, file_rows, cols):
         result = monte_carlo(X, y, **_cv_args(cfg))
     _warn_grid_edges(cfg.pnn, result.sigmas)  # before any file, as -W error may raise
     confusion = result.confusion.tolist()
@@ -339,21 +348,23 @@ def cmd_eval(args) -> int:
 
 
 def cmd_relevance(args) -> int:
-    cfg, X, y, names, registry = _read_patterns(args, registry_used=True)
+    cfg, X, y, names, registry, file_rows = _read_patterns(args, registry_used=True)
     selected = _parse_selected(args.selected, names, registry)
-    with _scores_named(args.features, names):
+    with _scores_named(args.features, names, file_rows):
         results = channel_relevance(X, y, selected, registry, **_cv_args(cfg))
+    _warn_grid_edges(cfg.pnn, [run for res in results for run in res.sigmas])
     rows = [[ch, repr(res.mean_alpha), repr(res.mean_kappa)] for ch, res in enumerate(results, 1)]
     print(f"wrote {_write_table(cfg, 'relevance.csv', ['channel', 'alpha', 'kappa'], rows)}")
     return 0
 
 
 def cmd_ablate(args) -> int:
-    cfg, X, y, names, registry = _read_patterns(args, registry_used=True)
+    cfg, X, y, names, registry, file_rows = _read_patterns(args, registry_used=True)
     groups = ablation_groups(_parse_selected(args.selected, names, registry), registry)
     groups = {name: idx for name, idx in groups.items() if idx}
-    with _scores_named(args.features, names):
+    with _scores_named(args.features, names, file_rows):
         results = ablation(X, y, groups, **_cv_args(cfg))
+    _warn_grid_edges(cfg.pnn, [run for _, res in results for run in res.sigmas])
     rows, prev = [], None
     for name, res in results:
         delta = "" if prev is None else repr(res.mean_kappa - prev)

@@ -151,10 +151,9 @@ def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -
     split is fitted once, and its test rows' squared distances and their
     per-class minima computed once: none depends on sigma. For each
     candidate, decided_labels labels the rows whose nearest distances fix
-    their label, and one predict_batch call scores the rest from the same
-    buffer, which it leaves unchanged; where more than half the rows are
-    undecided it scores them all. An inner split that lacks a class does
-    not warn.
+    their label, and one predict_batch call scores the rest by their rows
+    of the same buffer, which it leaves unchanged. An inner split that lacks
+    a class does not warn.
 
     Raises:
         EmptyGridError: no candidates.
@@ -182,16 +181,7 @@ def select_sigma(X, y, grid=DEFAULT_SIGMA_GRID, folds: int = 5, seed: int = 0) -
             for i, sigma in enumerate(grid):
                 decided, labels = decided_labels(nearest, sigma, model.counts, model.class_ids)
                 rows = np.flatnonzero(~decided)
-                scored = replace(model, sigma=sigma)
-                if 2 * rows.size > decided.size:
-                    labels, _ = scored.predict_batch(X_test, d2)
-                else:
-                    # Copying the undecided rows pays only while they are
-                    # few; scoring all of d2 copies nothing.
-                    try:
-                        labels[rows], _ = scored.predict_batch(X_test[rows], d2[rows])
-                    except NonFiniteScoreError as exc:
-                        raise exc.reindexed(rows=rows) from None
+                labels[rows], _ = replace(model, sigma=sigma).predict_batch(X_test, d2, rows)
                 correct[i] += int(np.count_nonzero(labels == y_test))
         except NonFiniteScoreError as exc:
             raise exc.reindexed(rows=test) from None
@@ -212,9 +202,9 @@ def kfold_cv(
     inside each training fold only.
 
     A call whose distance cells (each fold's test rows x training rows, and
-    under sigma=None each of its inner splits' at most once per grid value)
-    are worth more than one process by cell_processes scores contiguous
-    chunks of the folds at once through map_chunks, one per usable CPU.
+    under sigma=None a bound on its inner splits' once per grid value) are
+    worth more than one process by cell_processes scores contiguous chunks
+    of the folds at once through map_chunks, one per usable CPU.
     Each chunk returns its integer confusion matrix and sigmas, so the
     report keeps every bit, and the first error in fold order is raised as
     scoring serially raises it.
@@ -234,11 +224,10 @@ def kfold_cv(
     C = int(y.max())
     cells = split_cells(splits)
     if config.sigma is None and config.selection_folds >= 2:
-        for train, _ in splits:
-            inner = stratified_folds(y[train], config.selection_folds, config.selection_seed)
-            # Each grid value scores at most every inner split's cells, though
-            # their distances are computed once.
-            cells += len(config.sigma_grid) * split_cells(fold_splits(inner))
+        # Each grid value scores at most every inner split's cells: f inner
+        # splits of n training rows hold at most n^2 (f - 1) / f of them.
+        f = config.selection_folds
+        cells += sum(len(config.sigma_grid) * t.size**2 * (f - 1) // f for t, _ in splits)
 
     def score(chunk) -> tuple:
         """(confusion matrix, sigma per fold) of a chunk of the splits."""

@@ -16,6 +16,14 @@ from emgactions.features.registry import FeatureRegistry
 
 META_COLUMNS = ("subject_id", "trial_index", "label")
 
+# Each meta column's name in messages and its smallest valid value: subject
+# ids start at 0, as in manifests, and trials and labels at 1.
+_MINIMUM = {
+    "subject_id": ("subject id", 0),
+    "trial_index": ("trial index", 1),
+    "label": ("label", 1),
+}
+
 
 def write_feature_csv(path: str, X, y, subjects, trials, registry: FeatureRegistry) -> None:
     """Write one row per pattern: registry-named feature columns, then
@@ -38,8 +46,8 @@ def read_feature_csv(path: str):
 
     The data rows are parsed by one bulk numpy parse, which alone decides
     what text is valid. When it fails, or yields a NaN or infinite value or
-    a label below 1, each line, then each cell of the first line that
-    fails, goes through the same parse alone, only to name them.
+    a meta value below its minimum, each line, then each cell of the first
+    line that fails, goes through the same parse alone, only to name them.
 
     Returns:
         (X, y, subjects, trials, names) with names covering the feature
@@ -49,8 +57,10 @@ def read_feature_csv(path: str):
         ValueError: a malformed header or row, a cell that does not parse
             (a feature that is not a number, or a subject id, trial index
             or label that is not an integer), a NaN or infinite feature
-            value, a label below 1, or a byte that is not UTF-8; the
-            message names the file and line, and the column of a bad cell.
+            value, a subject id below 0, a trial index or label below 1, or
+            a byte that is not UTF-8; the message names the file and line,
+            and the column of a bad cell. A header that starts with a byte
+            order mark or repeats a column name names line 1.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -63,7 +73,8 @@ def read_feature_csv(path: str):
             rows = None
     if rows is not None and rows.size == 0:
         raise ValueError(f"{path}: no data rows")
-    if rows is None or rows["label"].min() < 1 or not np.isfinite(rows["X"]).all():
+    below = rows is not None and any(rows[c].min() < low for c, (_, low) in _MINIMUM.items())
+    if rows is None or below or not np.isfinite(rows["X"]).all():
         raise _bad_row(path, header, reader.line_num, dtype)
     meta = [rows[c].copy() for c in ("label", "subject_id", "trial_index")]
     return (np.ascontiguousarray(rows["X"]), *meta, header[:-3])
@@ -128,8 +139,15 @@ def _read_header(reader, path: str) -> list:
         raise not_utf8_error(path) from None
     if header is None or len(header) < len(META_COLUMNS) + 1:
         raise ValueError(f"{path}: missing or too-short header")
+    if header[0].startswith("\ufeff"):
+        raise ValueError(f"{path}:1: the header starts with a UTF-8 byte order mark; remove it")
     if tuple(header[-3:]) != META_COLUMNS:
         raise ValueError(f"{path}: expected trailing columns {META_COLUMNS}")
+    first = {}  # name -> its first column, 1-based
+    for col, name in enumerate(header, 1):
+        if name in first:
+            raise ValueError(f"{path}:1: columns {first[name]} and {col} are both named {name!r}")
+        first[name] = col
     return header
 
 
@@ -144,9 +162,10 @@ def _bad_row(path: str, header, start: int, dtype) -> ValueError:
             return _cell_error(where, header, line)
         if row.size == 0:  # a blank line
             continue
-        label = row["label"][0]
-        if label < 1:
-            return ValueError(f"{where}: label {label} in column 'label' is below 1")
+        for column, (what, low) in _MINIMUM.items():
+            value = row[column][0]
+            if value < low:
+                return ValueError(f"{where}: {what} {value} in column {column!r} is below {low}")
         X = row["X"][0]
         finite = np.isfinite(X)
         if not finite.all():

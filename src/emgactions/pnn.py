@@ -161,25 +161,33 @@ class PnnModel:
             np.maximum(d2, 0.0, out=d2)
         return d2
 
-    def predict_batch(self, X, d2=None):
-        """Classify rows of X; returns (labels (n,), posteriors (n, C)).
+    def predict_batch(self, X, d2=None, rows=None):
+        """Classify rows of X; returns (labels (n,), posteriors (n, C)) for
+        the n integer rows of X in rows, in their order (default every row).
 
-        d2 is distances(X), computed here when not given; it is left
-        unchanged, so one buffer serves every kernel width. Its rows are
-        copied ROW_BLOCK at a time into one scratch block, which
-        classify_distances scores.
+        d2 is distances(X), which rows index too; without it only
+        distances(X[rows]) is computed. d2 is left unchanged, so one buffer
+        serves every kernel width. Its rows are gathered ROW_BLOCK at a time
+        into one scratch block, which classify_distances scores.
 
         Raises:
             DimensionMismatchError: X is not (n, n_features).
             ValueError: X holds a NaN or infinite value.
+            IndexError: a row lies outside X (outside d2, where d2 is given).
             NonFiniteScoreError: a row's squared distances overflow, as a
                 value far outside a column's tiny training spread makes
-                them; the message names the row and that column.
+                them; the message names the row of X and that column.
         """
         X = np.asarray(X, dtype=float)
-        if d2 is None:
+        if d2 is None and rows is None:
             d2 = self.distances(X)
-        n, N = d2.shape
+        size = len(X) if d2 is None else len(d2)
+        rows = np.arange(size) if rows is None else np.asarray(rows, dtype=np.intp)
+        if rows.size and not 0 <= rows.min() <= rows.max() < size:
+            raise IndexError(f"rows {rows.min()}..{rows.max()} reach outside 0..{size - 1}")
+        index = np.arange(rows.size) if d2 is None else rows
+        d2 = self.distances(X[rows]) if d2 is None else d2
+        n, N = index.size, d2.shape[1]
         labels = np.empty(n, dtype=int)
         posteriors = np.empty((n, self.n_classes))
         block = np.empty((min(n, ROW_BLOCK), N))
@@ -188,13 +196,14 @@ class PnnModel:
             for start in range(0, n, ROW_BLOCK):
                 stop = min(n, start + ROW_BLOCK)
                 k = block[: stop - start]
-                np.copyto(k, d2[start:stop])
+                # rows are checked above; mode="raise" gathers via a temporary.
+                np.take(d2, index[start:stop], axis=0, out=k, mode="clip")
                 try:
                     labels[start:stop], posteriors[start:stop] = classify_distances(
                         k, self.sigma, self.counts, self.class_ids, self.n_classes
                     )
                 except NonFiniteScoreError as exc:
-                    row = start + exc.row
+                    row = int(rows[start + exc.row])
                     raise overflow_error(row, (X[row] - self.mean) / self.scale) from None
         return labels, posteriors
 

@@ -883,6 +883,106 @@ class TestAblate:
             float(row[3])  # parses
 
 
+@pytest.mark.parametrize(
+    "command, selected, expected",
+    [
+        ("relevance", "1,2,3", [
+            # Channel 1's result scores no sigma; the other 7 channels' do.
+            "sigma search chose 0.05, the bottom of the grid, in 42 of 42 folds",
+        ]),
+        ("ablate", "reference", [
+            "sigma search chose 0.05, the bottom of the grid, in 16 of 18 folds",
+            "sigma search chose 5.0, the top of the grid, in 2 of 18 folds",
+        ]),
+    ],
+)
+def test_grid_edges_warn_over_every_result(workspace, tmp_path, capsys, command, selected, expected):
+    # One warning per end of the grid, counted over every fold of every
+    # result, after the command's other warnings and before any file.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cv_folds = 3\nruns = 2\nselection_folds = 2\nsigma = auto\nsigma_grid = 0.05, 0.5, 5.0\n")
+    argv = [command, "--config", str(cfg), "--features", str(workspace["features"])]
+    argv += ["--selected", selected]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert [str(w.message) for w in caught if w.category is SigmaGridEdgeWarning] == expected
+    assert all(w.category is SigmaGridEdgeWarning for w in caught[-len(expected):])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        warnings.simplefilter("error", SigmaGridEdgeWarning)
+        assert main([*argv, "--out", str(tmp_path / "error")]) == 2
+    assert capsys.readouterr().err == f"error: {expected[0]}\n"
+    assert not (tmp_path / "error").exists()
+
+
+def shuffle_rows(path, out, seed) -> np.ndarray:
+    """Write the features.csv at path to out with its data rows permuted;
+    returns, per data row of out, its data row of path (0-based)."""
+    lines = path.read_text().splitlines(keepends=True)
+    order = np.random.default_rng(seed).permutation(len(lines) - 1)
+    assert not np.array_equal(order, np.arange(order.size))
+    out.write_text(lines[0] + "".join(lines[1 + r] for r in order))
+    return order
+
+
+class TestRowOrder:
+    """The folds follow the pattern keys (subject, label, trial), not the
+    order of the file's rows. On this file a shuffle moves the eval,
+    relevance and ablate outputs of a row-order fold split; select's first
+    feature scores 1.0 whatever the folds."""
+
+    OUTPUTS = {
+        "eval": ("report.json", "confusion.csv"),
+        "relevance": ("relevance.csv",),
+        "ablate": ("ablation.csv",),
+        "select": ("selection.csv",),
+    }
+
+    @pytest.mark.parametrize("command", list(OUTPUTS))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_shuffled_file_writes_the_same_bytes(self, workspace, tmp_path, command, seed):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("cv_folds = 3\nruns = 2\nsigma = auto\nsfs_folds = 2\nmax_features = 3\n")
+        shuffled = tmp_path / "shuffled.csv"
+        shuffle_rows(workspace["features"], shuffled, seed)
+        outputs = []
+        for features in (workspace["features"], shuffled):
+            # report.json records the output directory, so both runs write to one.
+            argv = [command, "--config", str(cfg), "--features", str(features)]
+            if command != "select":
+                argv += ["--selected", "reference" if command == "ablate" else "1,5,9"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+            outputs.append([(tmp_path / "out" / f).read_bytes() for f in self.OUTPUTS[command]])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "command, sigma", [("eval", "auto"), ("relevance", "0.5"), ("ablate", "0.5"), ("select", "0.5")]
+    )
+    def test_overflow_names_the_shuffled_files_row(self, workspace, tmp_path, capsys, command, sigma):
+        bad = tiny_spread_features(workspace, tmp_path)  # data row 4 overflows
+        shuffled = tmp_path / "shuffled.csv"
+        order = shuffle_rows(bad, shuffled, 3)
+        row = int(np.flatnonzero(order == 3)[0]) + 1
+        assert row != 4
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"cv_folds = 3\nruns = 2\nsigma = {sigma}\nsfs_folds = 2\n")
+        rc = main([
+            command,
+            "--config", str(cfg),
+            "--features", str(shuffled),
+            *(() if command == "select" else ("--selected", "1,41")),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {shuffled}: data row {row} has no finite class score: feature 41 ("
+        )
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("source", ["list", "csv_file", "plain_file"])
 @pytest.mark.parametrize("command", ["eval", "relevance", "ablate"])
 def test_repeated_index_exits_2(workspace, tmp_path, capsys, command, source):
@@ -1247,6 +1347,7 @@ def _mutate(text: str, mutation: str) -> str:
 
 REJECTED = ["1_000", "\u0661\u0662", "\uff17", "quoted"]
 KEPT = ["crlf", "blank_lines", "leading_space", "leading_zero"]
+BOM = "the header starts with a UTF-8 byte order mark; remove it"
 
 
 class TestMutatedRecording:
@@ -1283,7 +1384,7 @@ class TestMutatedRecording:
 class TestMutatedFeatures:
     """eval on a features.csv with one mutation: numpy's bulk parse decides."""
 
-    def eval(self, workspace, tmp_path, text, name="features.csv"):
+    def eval(self, workspace, tmp_path, text, name="features.csv", selected="1,2,3"):
         # report.json records the output directory, so every run writes to one.
         features = tmp_path / name
         features.write_bytes(text.encode("utf-8"))
@@ -1292,7 +1393,7 @@ class TestMutatedFeatures:
             "eval",
             "--config", str(workspace["config"]),
             "--features", str(features),
-            "--selected", "1,2,3",
+            "--selected", selected,
             "--out", str(out),
         ])
         files = [out / "report.json", out / "confusion.csv"]
@@ -1317,3 +1418,53 @@ class TestMutatedFeatures:
         rc, _, outputs = self.eval(workspace, tmp_path, _mutate(text, mutation))
         assert rc == 0
         assert outputs == plain[2]
+
+    @pytest.mark.parametrize(
+        "mutation, selected, expected",
+        [
+            ("bom", "1,2,3", "error: {path}:1: " + BOM),
+            # The registry check used to name mismatched columns instead.
+            ("bom", "reference", "error: {path}:1: " + BOM),
+            ("subject_id = -1", "1,2,3", "error: {path}:4: subject id -1 in column 'subject_id' is below 0"),
+            ("trial_index = -1", "1,2,3", "error: {path}:4: trial index -1 in column 'trial_index' is below 1"),
+            ("repeated_name", "1,2,3", "error: {path}:1: columns 1 and 2 are both named 'tds_ch1_mean'"),
+            ("odd_labels", "1,2,3", "warning: classes without exemplars can never be predicted: [2]"),
+        ],
+        ids=["bom", "bom_reference", "subject_-1", "trial_-1", "repeated_name", "odd_labels"],
+    )
+    def test_pinned_outcome(self, workspace, tmp_path, capsys, mutation, selected, expected):
+        # Each line the run shows: its error, or each warning as the CLI
+        # prints it, once per message.
+        text = _mutate_features(workspace["features"].read_text(), mutation)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            rc, features, outputs = self.eval(workspace, tmp_path, text, selected=selected)
+        shown = [f"warning: {w.message}" for w in caught] + capsys.readouterr().err.splitlines()
+        assert shown == [expected.format(path=features)]
+        assert rc == (0 if expected.startswith("warning: ") else 2)
+        assert len(outputs) == (2 if rc == 0 else 0)
+
+
+def _mutate_features(text: str, mutation: str) -> str:
+    """features.csv text with a mutation that _mutate has no form for: a
+    leading byte order mark, a meta column's value on the fourth line, the
+    second column named as the first, or each label L written as 2L - 1."""
+    if mutation == "bom":
+        return "\ufeff" + text
+    lines = text.split("\n")
+    if mutation == "repeated_name":
+        header = lines[0].split(",")
+        header[1] = header[0]
+        lines[0] = ",".join(header)
+    elif mutation == "odd_labels":
+        for i, line in enumerate(lines[1:], 1):
+            if line:
+                fields = line.split(",")
+                fields[-1] = str(2 * int(fields[-1]) - 1)
+                lines[i] = ",".join(fields)
+    else:  # "<meta column> = <value>"
+        column, value = mutation.split(" = ")
+        fields = lines[3].split(",")
+        fields[lines[0].split(",").index(column)] = value
+        lines[3] = ",".join(fields)
+    return "\n".join(lines)

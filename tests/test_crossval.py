@@ -441,15 +441,14 @@ class TestForkedFolds:
     @pytest.mark.parametrize("sigma", [0.5, None], ids=["fixed", "auto"])
     def test_processes_follow_the_distance_cells(self, monkeypatch, sigma):
         # One process per FORK_CELLS cells: each fold's test x training rows,
-        # and under sigma=None each inner split's once per grid value.
+        # and under sigma=None, per grid value, the bound n^2 (f - 1) / f on
+        # the cells of f inner splits of a fold's n training rows.
         X, y = self.matrix()
         config = PnnConfig(sigma=sigma, selection_folds=3)
         splits = fold_splits(kfold_assignment(y, 4, 0))
         cells = sum(test.size * train.size for train, test in splits)
         if sigma is None:
-            for train, _ in splits:
-                inner = fold_splits(stratified_folds(y[train], 3, 0))
-                cells += len(DEFAULT_SIGMA_GRID) * sum(t.size * r.size for r, t in inner)
+            cells += sum(len(DEFAULT_SIGMA_GRID) * train.size**2 * 2 // 3 for train, _ in splits)
         forked = force_fork(monkeypatch, 8)
         for fork_cells, processes in [(1 << 24, 1), (cells + 1, 1), (cells, 2), (cells // 2, 3)]:
             monkeypatch.setattr(crossval, "FORK_CELLS", fork_cells)
@@ -457,6 +456,26 @@ class TestForkedFolds:
             kfold_cv(X, y, k=4, config=config)
             assert len(forked) == processes - 1, fork_cells
             assert_no_child_left()
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_cell_count_cuts_no_inner_split(monkeypatch, k):
+    # kfold_cv sizes its fork from the training rows alone: only the outer
+    # assignment and each fold's select_sigma cut folds. With k = 5 the
+    # inner splits are uneven, so the bound exceeds their cells.
+    X, y = TestForkedFolds.matrix()
+    train = [y.size - test.size for _, test in fold_splits(kfold_assignment(y, k, 0))]
+    cuts = []
+    real = crossval.stratified_folds
+
+    def counting(y, k, seed):
+        cuts.append(y.size)
+        return real(y, k, seed)
+
+    monkeypatch.setattr(crossval, "stratified_folds", counting)
+    monkeypatch.setattr(crossval, "FORK_CELLS", 1 << 40)
+    kfold_cv(X, y, k=k, config=PnnConfig(sigma=None, selection_folds=3))
+    assert cuts == [y.size, *train]
 
 
 @pytest.mark.parametrize("processes", [0, 1 << 30])

@@ -299,6 +299,58 @@ class TestSharedDistances:
                 replace(model, sigma=sigma).predict_batch(Q, d2)
             assert (shared.value.row, shared.value.column) == (row, 0)
             assert str(shared.value) == str(alone.value)
+        # Scored by index, in any order, the row is still named as a row of Q.
+        rows = np.random.default_rng(row).permutation(len(Q))
+        for args in ((Q, d2, rows), (Q, None, rows)):
+            with pytest.raises(NonFiniteScoreError) as picked:
+                model.predict_batch(*args)
+            assert type(picked.value.row) is int
+            assert (picked.value.row, picked.value.column) == (row, 0)
+            assert str(picked.value) == str(alone.value)
+        assert d2.tobytes() == kept.tobytes()
+
+
+class TestScoredRows:
+    """predict_batch(X, d2, rows) scores rows of X by index into d2."""
+
+    @pytest.mark.parametrize("order", ["ascending", "unordered", "empty"])
+    def test_rows_give_the_bits_of_the_copied_rows(self, order):
+        model, Q = shared_distance_case()
+        d2 = model.distances(Q)
+        kept = d2.copy()
+        rng = np.random.default_rng(5)
+        rows = {
+            "ascending": np.flatnonzero(rng.random(len(Q)) < 0.6),
+            "unordered": rng.permutation(len(Q))[: ROW_BLOCK + 9],
+            "empty": np.array([], dtype=int),
+        }[order]
+        assert order == "empty" or rows.size > ROW_BLOCK  # more than one block
+        for sigma in DEFAULT_SIGMA_GRID:
+            m = replace(model, sigma=sigma)
+            pairs = [
+                (m.predict_batch(Q, d2, rows), m.predict_batch(Q[rows], d2[rows])),
+                # Without d2 only the rows' distances are computed.
+                (m.predict_batch(Q, rows=rows), m.predict_batch(Q[rows])),
+            ]
+            for got, want in pairs:
+                assert got[0].dtype == want[0].dtype and got[0].shape == (rows.size,)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].shape == (rows.size, m.n_classes)
+                assert got[1].tobytes() == want[1].tobytes()
+        assert d2.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 2 * ROW_BLOCK + 44])
+    def test_row_outside_raises(self, bad):
+        model, Q = shared_distance_case()
+        d2 = model.distances(Q)
+        kept = d2.copy()
+        low, high = min(0, bad), max(1, bad)
+        message = rf"^rows {low}\.\.{high} reach outside 0\.\.{len(Q) - 1}$"
+        for args in ((Q, d2, [0, bad, 1]), (Q, None, [1, bad, 0])):
+            with pytest.raises(IndexError, match=message):
+                model.predict_batch(*args)
+        with pytest.raises(IndexError, match=r"^rows 3\.\.3 reach outside 0\.\.2$"):
+            model.predict_batch(Q, d2[:3], [3])
         assert d2.tobytes() == kept.tobytes()
 
 
@@ -594,9 +646,9 @@ class TestSigmaSelectionOverflow:
         scored = []
         real_predict = PnnModel.predict_batch
 
-        def recording_predict(model, Q, d2=None):
-            scored.append((len(Q), len(d2)))
-            return real_predict(model, Q, d2)
+        def recording_predict(model, Q, d2=None, rows=None):
+            scored.append((len(rows), len(d2)))
+            return real_predict(model, Q, d2, rows)
 
         monkeypatch.setattr(PnnModel, "predict_batch", recording_predict)
         with pytest.raises(NonFiniteScoreError) as exc:
