@@ -161,6 +161,7 @@ def _read_patterns(args, registry_used: bool) -> tuple:
     cfg = _load_config(args)
     X, y, subjects, trials, names = read_feature_csv(args.features)
     require_distinct_rows(args.features, X)
+    _require_column_statistics(args.features, X, names)
     rows = np.lexsort((trials, y, subjects))
     if np.any(rows[1:] < rows[:-1]):  # a file in key order keeps its arrays
         X, y = X[rows], y[rows]
@@ -171,6 +172,28 @@ def _read_patterns(args, registry_used: bool) -> tuple:
             "re-extract with the same config or adjust it"
         )
     return cfg, X, y, names, registry, rows
+
+
+def _require_column_statistics(path: str, X, names) -> None:
+    """Raise a ValueError naming path and the first feature whose sum of
+    |x| or of squared deviations from its mean overflows float64. A fold's
+    training rows give sums no larger, so no fold's mean or standard
+    deviation can then overflow. Columns are summed 64 at a time, so no
+    matrix-sized temporary appears."""
+    # The overflow is reported below; numpy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, X.shape[1], 64):
+            block = X[:, start : start + 64]
+            magnitude = np.abs(block).sum(axis=0)
+            deviations = block - block.mean(axis=0)
+            squares = np.square(deviations, out=deviations).sum(axis=0)
+            unfit = ~(np.isfinite(magnitude) & np.isfinite(squares))
+            if unfit.any():
+                c = start + int(np.argmax(unfit))
+                raise ValueError(
+                    f"{path}: feature {c + 1} ({names[c]}) spreads too far for float64: "
+                    "its mean or standard deviation overflows"
+                )
 
 
 def _warn_grid_edges(config, sigmas) -> None:

@@ -163,31 +163,30 @@ class PnnModel:
 
     def predict_batch(self, X, d2=None, rows=None):
         """Classify rows of X; returns (labels (n,), posteriors (n, C)) for
-        the n integer rows of X in rows, in their order (default every row).
+        the n integer rows of d2 and X in rows, in their order (default all).
 
-        d2 is distances(X), which rows index too; without it only
-        distances(X[rows]) is computed. d2 is left unchanged, so one buffer
-        serves every kernel width. Its rows are gathered ROW_BLOCK at a time
-        into one scratch block, which classify_distances scores.
+        d2 is distances(X), computed where it is not given; to score only
+        some rows of X, pass X[rows] instead. d2 is left unchanged, so one
+        buffer serves every kernel width. Its rows are gathered ROW_BLOCK at
+        a time into one scratch block, which classify_distances scores.
 
         Raises:
             DimensionMismatchError: X is not (n, n_features).
             ValueError: X holds a NaN or infinite value.
-            IndexError: a row lies outside X (outside d2, where d2 is given).
+            TypeError: rows holds booleans or floats, not row numbers.
+            IndexError: a row lies outside d2.
             NonFiniteScoreError: a row's squared distances overflow, as a
                 value far outside a column's tiny training spread makes
                 them; the message names the row of X and that column.
         """
         X = np.asarray(X, dtype=float)
-        if d2 is None and rows is None:
-            d2 = self.distances(X)
-        size = len(X) if d2 is None else len(d2)
-        rows = np.arange(size) if rows is None else np.asarray(rows, dtype=np.intp)
-        if rows.size and not 0 <= rows.min() <= rows.max() < size:
-            raise IndexError(f"rows {rows.min()}..{rows.max()} reach outside 0..{size - 1}")
-        index = np.arange(rows.size) if d2 is None else rows
-        d2 = self.distances(X[rows]) if d2 is None else d2
-        n, N = index.size, d2.shape[1]
+        d2 = self.distances(X) if d2 is None else d2
+        rows = np.arange(len(d2)) if rows is None else np.asarray(rows)
+        if rows.size and rows.dtype.kind not in "iu":
+            raise TypeError(f"rows must hold integer row numbers, got dtype {rows.dtype}")
+        if rows.size and not 0 <= rows.min() <= rows.max() < len(d2):
+            raise IndexError(f"rows {rows.min()}..{rows.max()} reach outside 0..{len(d2) - 1}")
+        n, N = rows.size, d2.shape[1]
         labels = np.empty(n, dtype=int)
         posteriors = np.empty((n, self.n_classes))
         block = np.empty((min(n, ROW_BLOCK), N))
@@ -197,7 +196,7 @@ class PnnModel:
                 stop = min(n, start + ROW_BLOCK)
                 k = block[: stop - start]
                 # rows are checked above; mode="raise" gathers via a temporary.
-                np.take(d2, index[start:stop], axis=0, out=k, mode="clip")
+                np.take(d2, rows[start:stop], axis=0, out=k, mode="clip")
                 try:
                     labels[start:stop], posteriors[start:stop] = classify_distances(
                         k, self.sigma, self.counts, self.class_ids, self.n_classes
@@ -338,7 +337,8 @@ def fit_pnn(X, y, sigma: float, n_classes: int | None = None, warn: bool = True)
 
     Raises:
         NonPositiveSigmaError: sigma is not finite and > 0.
-        ValueError: X holds a NaN or infinite value, or the shapes or
+        ValueError: X holds a NaN or infinite value, a column whose mean or
+            standard deviation is not finite in float64, or the shapes or
             labels are invalid.
 
     Warns:
@@ -384,8 +384,18 @@ class Fold:
         order = np.argsort(y, kind="stable")
         self.test = test
         self.exemplars = order if train is None else train[order]
-        self.mean = X.mean(axis=0)
-        std = X.std(axis=0)
+        # A column spread too far for float64 is reported below; numpy need
+        # not warn first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.mean = X.mean(axis=0)
+            std = X.std(axis=0)
+        unfit = ~(np.isfinite(self.mean) & np.isfinite(std))
+        if unfit.any():
+            c = int(np.argmax(unfit))
+            raise ValueError(
+                f"training column {c} has mean {float(self.mean[c])!r} and standard "
+                f"deviation {float(std[c])!r}; its values spread too far for float64"
+            )
         # A constant column's std can be a rounding residue such as 1e-15, and
         # one whose squared deviations underflow has std 0; dividing by either
         # would blow a query's slightest offset there up.

@@ -142,7 +142,6 @@ def cv_accuracy_criterion(
         candidate whose distances overflow."""
         summed, buffer = np.empty((2, ROW_BLOCK * n_train))
         correct = [0] * len(candidates)
-        failure, limit = None, len(candidates)
         # NonFiniteScoreError reports an overflow; numpy need not warn first.
         with np.errstate(over="ignore", invalid="ignore"):
             for fold in folds:
@@ -155,7 +154,7 @@ def cv_accuracy_criterion(
                     prefix.fill(0.0)
                     for c in selected:
                         prefix += squared_differences(fold, c, rows, d2)
-                    for i, c in enumerate(candidates[:limit]):
+                    for i, c in enumerate(candidates):
                         squared_differences(fold, c, rows, d2)
                         if selected:
                             d2 += prefix
@@ -164,15 +163,14 @@ def cv_accuracy_criterion(
                                 d2, sigma, fold.counts, fold.class_ids, C
                             )
                         except NonFiniteScoreError as exc:
-                            # Only an earlier candidate can still fail first.
                             cols = selected + [c]
                             z = (X[rows[exc.row], cols] - fold.mean[cols]) / fold.scale[cols]
-                            failure = overflow_error(exc.row, z).reindexed(rows, cols)
-                            limit = i
-                            break
+                            # An earlier candidate can fail only in a later
+                            # block or fold; scored alone, it raises first.
+                            for earlier in candidates[:i]:
+                                score(selected, [earlier])
+                            raise overflow_error(exc.row, z).reindexed(rows, cols) from None
                         correct[i] += int(np.count_nonzero(labels == y_rows))
-        if failure is not None:
-            raise failure
         return correct
 
     def criterion(selected, candidates) -> list:

@@ -428,10 +428,12 @@ class TestEval:
         assert json.loads((out / "report.json").read_text())["sigmas"] == [[0.5] * 3] * 2
         auto = tmp_path / "auto.cfg"
         auto.write_text("cv_folds = 3\nruns = 2\nsigma = auto\nselection_folds = 2\n")
-        assert main([
-            "eval", "--config", str(auto), "--features", str(workspace["features"]),
-            "--selected", "1,2,3", "--out", str(out),
-        ]) == 0
+        edge = r"^sigma search chose 0\.05, the bottom of the grid, in 6 of 6 folds$"
+        with pytest.warns(SigmaGridEdgeWarning, match=edge):
+            assert main([
+                "eval", "--config", str(auto), "--features", str(workspace["features"]),
+                "--selected", "1,2,3", "--out", str(out),
+            ]) == 0
         X, y, _, _, _ = read_feature_csv(str(workspace["features"]))
         cfg = read_config(str(auto))
         expected = monte_carlo(X[:, :3], y, k=3, runs=2, base_seed=0, config=cfg.pnn_config())
@@ -672,6 +674,30 @@ class TestEval:
         err = capsys.readouterr().err
         assert rc == 2, err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["eval", "relevance", "ablate", "select"])
+    def test_overflowing_column_statistics_exit_2(self, workspace, tmp_path, capsys, command):
+        # Column 100, in the second block of 64 columns checked, overflows
+        # float64 before any fold runs; no numpy warning prints first.
+        rows = rows_of(workspace["features"])
+        for row in rows[1:]:
+            row[99] = repr(float(row[99]) * 1e160)
+        bad = tmp_path / "features.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        rc = main([
+            command,
+            "--config", str(workspace["config"]),
+            "--features", str(bad),
+            *(() if command == "select" else ("--selected", "1,100")),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: feature 100 ({rows[0][99]}) spreads too far for float64: "
+            "its mean or standard deviation overflows\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_feature_rejected(self, workspace, tmp_path, capsys, cell):
@@ -1429,30 +1455,57 @@ class TestMutatedFeatures:
             ("trial_index = -1", "1,2,3", "error: {path}:4: trial index -1 in column 'trial_index' is below 1"),
             ("repeated_name", "1,2,3", "error: {path}:1: columns 1 and 2 are both named 'tds_ch1_mean'"),
             ("odd_labels", "1,2,3", "warning: classes without exemplars can never be predicted: [2]"),
+            ("column 1 constant", "1,2,3", ""),
+            ("column 1 near-constant", "1,2,3", ""),
+            ("column 1 x 1e150", "1,2,3", ""),
+            (
+                "column 1 x 1e160",
+                "1,2,3",
+                "error: {path}: feature 1 (tds_ch1_mean) spreads too far for float64: "
+                "its mean or standard deviation overflows",
+            ),
         ],
-        ids=["bom", "bom_reference", "subject_-1", "trial_-1", "repeated_name", "odd_labels"],
+        ids=[
+            "bom", "bom_reference", "subject_-1", "trial_-1", "repeated_name", "odd_labels",
+            "constant", "near_constant", "x1e150", "x1e160",
+        ],
     )
     def test_pinned_outcome(self, workspace, tmp_path, capsys, mutation, selected, expected):
         # Each line the run shows: its error, or each warning as the CLI
-        # prints it, once per message.
+        # prints it, once per message; an empty expected shows none.
         text = _mutate_features(workspace["features"].read_text(), mutation)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
             rc, features, outputs = self.eval(workspace, tmp_path, text, selected=selected)
         shown = [f"warning: {w.message}" for w in caught] + capsys.readouterr().err.splitlines()
-        assert shown == [expected.format(path=features)]
-        assert rc == (0 if expected.startswith("warning: ") else 2)
+        assert shown == expected.format(path=features).splitlines()
+        assert rc == (2 if expected.startswith("error: ") else 0)
         assert len(outputs) == (2 if rc == 0 else 0)
 
 
 def _mutate_features(text: str, mutation: str) -> str:
     """features.csv text with a mutation that _mutate has no form for: a
     leading byte order mark, a meta column's value on the fourth line, the
-    second column named as the first, or each label L written as 2L - 1."""
+    second column named as the first, each label L written as 2L - 1, or
+    the first feature column set to 0.5, to 0.5 + i * 1e-15 on data row i
+    or scaled by a factor."""
     if mutation == "bom":
         return "\ufeff" + text
     lines = text.split("\n")
-    if mutation == "repeated_name":
+    if mutation.startswith("column 1 "):
+        change = mutation.removeprefix("column 1 ")
+        for i, line in enumerate(lines[1:]):
+            if line:
+                fields = line.split(",")
+                if change == "constant":
+                    value = 0.5
+                elif change == "near-constant":
+                    value = 0.5 + i * 1e-15
+                else:  # "x <factor>"
+                    value = float(fields[0]) * float(change.removeprefix("x "))
+                fields[0] = repr(value)
+                lines[i + 1] = ",".join(fields)
+    elif mutation == "repeated_name":
         header = lines[0].split(",")
         header[1] = header[0]
         lines[0] = ",".join(header)

@@ -16,6 +16,7 @@ from emgactions.pnn import (
     EmptyClassWarning,
     NonFiniteScoreError,
     NonPositiveSigmaError,
+    PnnConfig,
     PnnModel,
     check_sigma,
     classify_distances,
@@ -49,6 +50,20 @@ class TestNormalizer:
         model = fit_pnn(X, np.ones(10, dtype=int), sigma=0.5)
         assert model.scale[0] == 1.0
         assert np.isfinite(model.exemplars).all()
+
+    @pytest.mark.parametrize("scale", [1e160, 1e306, 1.7e308])
+    def test_overflowing_statistics_raise(self, scale):
+        # Column 1's squared deviations overflow; near 1e308 its sum does too.
+        X = np.column_stack([np.arange(10.0), np.resize([1.0, 0.5], 10) * scale])
+        y = np.resize([1, 2], 10)
+        message = "^training column 1 has mean .*; its values spread too far for float64$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                fit_pnn(X, y, sigma=0.5)
+            for sigma in (0.5, None):
+                with pytest.raises(ValueError, match=message):
+                    crossval.kfold_cv(X, y, k=2, config=PnnConfig(sigma=sigma))
 
     def test_transform_single_vector(self):
         X = np.array([[0.0, 0.0], [2.0, 4.0]])
@@ -329,8 +344,8 @@ class TestScoredRows:
             m = replace(model, sigma=sigma)
             pairs = [
                 (m.predict_batch(Q, d2, rows), m.predict_batch(Q[rows], d2[rows])),
-                # Without d2 only the rows' distances are computed.
-                (m.predict_batch(Q, rows=rows), m.predict_batch(Q[rows])),
+                # Without d2, rows index distances(Q), computed whole.
+                (m.predict_batch(Q, rows=rows), m.predict_batch(Q, m.distances(Q), rows)),
             ]
             for got, want in pairs:
                 assert got[0].dtype == want[0].dtype and got[0].shape == (rows.size,)
@@ -352,6 +367,22 @@ class TestScoredRows:
         with pytest.raises(IndexError, match=r"^rows 3\.\.3 reach outside 0\.\.2$"):
             model.predict_batch(Q, d2[:3], [3])
         assert d2.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[False, True, True, False], np.array([0.0, 1.0]), [1.0]],
+        ids=["mask", "floats", "float_list"],
+    )
+    def test_rows_that_are_not_row_numbers_raise(self, rows):
+        model, Q = shared_distance_case()
+        for d2 in (None, model.distances(Q)):
+            with pytest.raises(TypeError, match="^rows must hold integer row numbers"):
+                model.predict_batch(Q, d2, rows)
+
+    def test_empty_rows_give_empty_labels(self):
+        model, Q = shared_distance_case()
+        labels, posteriors = model.predict_batch(Q, rows=[])
+        assert labels.shape == (0,) and posteriors.shape == (0, model.n_classes)
 
 
 class TestSigmaSelection:
